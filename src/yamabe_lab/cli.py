@@ -13,7 +13,6 @@ import argparse
 import datetime
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -63,11 +62,20 @@ def _parse_csv_floats(text: str, flag: str) -> tuple:
     return values
 
 
-def _map_jobs(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+# Aubin (1976): no domain has Yamabe constant above Lambda(n).  An exterior
+# estimate beyond Lambda(n)(1 + AUBIN_TOL) means the radial-only quotient
+# is not sharp (a finite conformal length, as on hyperbolic space), so a
+# verdict resting on it is inconclusive.
+AUBIN_TOL = 0.01
+EXTERIOR_ABOVE_AUBIN = "exterior_above_aubin"
+INCONCLUSIVE_ABOVE_AUBIN = ("inconclusive: exterior estimate above "
+                            "Lambda(n), which Aubin's bound forbids")
+
+
+def _above_aubin(y_inf: float, n: int) -> bool:
+    from .functional import lambda_constant
+
+    return y_inf > lambda_constant(n) * (1.0 + AUBIN_TOL)
 
 
 def _run_trace(profile, config: RunConfig):
@@ -98,12 +106,11 @@ def cmd_constants(config: RunConfig, args) -> dict:
               for rec in trace.records]
     y_est = trace.largest.y
 
-    def one_exterior(r_in):
+    exterior_rows = []
+    for r_in in config.pipeline.r_in:
         est = exterior_quotient(profile, r_in)
-        return {"r_in": r_in, "value": est.value, "r_out": est.r_out}
-
-    exterior_rows = _map_jobs(one_exterior, list(config.pipeline.r_in),
-                              args.jobs)
+        exterior_rows.append({"r_in": r_in, "value": est.value,
+                              "r_out": est.r_out})
     y_inf_est = exterior_rows[-1]["value"]
     lower = scalar_lower_bound(profile)
 
@@ -128,10 +135,16 @@ def cmd_constants(config: RunConfig, args) -> dict:
                       and y_est < y_inf_est - config.pipeline.margin
                       * abs(y_inf_est)),
     }
-    verdict = "condition holds" if condition["holds"] else (
-        "condition fails: Y = Y_inf within margin"
-        if abs(margin) <= config.pipeline.margin else
-        "condition fails: Y >= Y_inf")
+    reason = None
+    if _above_aubin(y_inf_est, n):
+        condition["holds"] = None
+        verdict, reason = INCONCLUSIVE_ABOVE_AUBIN, EXTERIOR_ABOVE_AUBIN
+    elif condition["holds"]:
+        verdict = "condition holds"
+    elif abs(margin) <= config.pipeline.margin:
+        verdict = "condition fails: Y = Y_inf within margin"
+    else:
+        verdict = "condition fails: Y >= Y_inf"
     payload = {
         "lambda": lam,
         "y_table": y_rows,
@@ -141,6 +154,7 @@ def cmd_constants(config: RunConfig, args) -> dict:
         "chain": chain,
         "condition": condition,
         "verdict": verdict,
+        "reason": reason,
     }
     for row in y_rows:
         print(f"  Y_{row['j']:g} = {row['y']:.6f}"
@@ -207,6 +221,10 @@ def cmd_decay(config: RunConfig, args) -> dict:
         else max(growth.rho, 0.0)
     y_est = trace.largest.y
     y_inf = exterior_quotient(profile, config.pipeline.r_in[-1]).value
+    if _above_aubin(y_inf, profile.n):
+        payload.update(y_inf_est=y_inf, verdict=INCONCLUSIVE_ABOVE_AUBIN,
+                       reason=EXTERIOR_ABOVE_AUBIN)
+        return payload
     try:
         report = exponent_formulas(trace.n, y_est, y_inf, rho)
     except InfeasibleExponentError as exc:
@@ -233,12 +251,11 @@ def cmd_bubble(config: RunConfig, args) -> dict:
     alphas = sorted(config.pipeline.alphas, reverse=True)
     eps = config.pipeline.eps
 
-    def one(alpha):
+    rows = []
+    for alpha in alphas:
         rep = bubble_quotient(profile, BubbleSpec(alpha=alpha, eps=eps))
-        return {"alpha": alpha, "quotient": rep.quotient,
-                "excess": rep.quotient - lam}
-
-    rows = _map_jobs(one, alphas, args.jobs)
+        rows.append({"alpha": alpha, "quotient": rep.quotient,
+                     "excess": rep.quotient - lam})
     excesses = [row["excess"] for row in rows]
     rate = None
     if len(rows) >= 2 and all(e > 0 for e in excesses):
@@ -313,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(defaults: flat n=3 pipeline)")
         cmd.add_argument("--out", help="directory for JSON reports and "
                          "artifacts (default: stdout only)")
-        cmd.add_argument("--jobs", type=int, default=1,
-                         help="parallel workers for independent solves")
         cmd.add_argument("--radii", help="override pipeline radii, CSV")
         cmd.add_argument("--alphas", help="override bubble alphas, CSV")
         cmd.add_argument("--trace", help="trace.json from a prior exhaust run")

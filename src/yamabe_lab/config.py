@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
+import types
+import typing
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -29,6 +32,11 @@ class ProfileConfig:
 @dataclass(frozen=True)
 class GridConfig:
     nodes_per_unit: int = 128
+
+    def __post_init__(self):
+        if self.nodes_per_unit <= 0:
+            raise DomainError(
+                f"nodes_per_unit must be positive, got {self.nodes_per_unit}")
 
 
 @dataclass(frozen=True)
@@ -73,21 +81,46 @@ _BLOCKS = {"profile": ProfileConfig, "grid": GridConfig,
 
 
 def _build_block(cls, data: dict):
+    if not isinstance(data, dict):
+        raise DomainError(
+            f"config block '{cls.__name__}' must be a JSON object")
     known = {f.name for f in fields(cls)}
     unknown = set(data) - known
     if unknown:
         raise DomainError(
             f"unknown key(s) {sorted(unknown)} in config block "
             f"'{cls.__name__}'; known: {sorted(known)}")
+    hints = typing.get_type_hints(cls)
     coerced = {}
     for f in fields(cls):
         if f.name not in data:
             continue
         value = data[f.name]
+        if not _has_type(value, hints[f.name]):
+            raise DomainError(
+                f"config key '{f.name}' in block '{cls.__name__}' must be "
+                f"{f.type}, got {value!r}")
         if isinstance(value, list):
             value = tuple(value)
         coerced[f.name] = value
     return cls(**coerced)
+
+
+def _has_type(value, hint) -> bool:
+    """JSON value check against a field annotation: ints pass as floats,
+    bools as neither, and tuples are lists of numbers."""
+    if isinstance(hint, types.UnionType):
+        return any(_has_type(value, arm) for arm in typing.get_args(hint))
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, numbers.Real)
+    if hint is tuple:
+        return isinstance(value, (list, tuple)) and all(
+            _has_type(item, float) for item in value)
+    return isinstance(value, hint)
 
 
 def load_config(path) -> RunConfig:

@@ -40,4 +40,4 @@ class InfeasibleExponentError(ValueError):
 
 
 class StabilizationError(RuntimeError):
-    """An outer-radius sweep hit r_max before stabilizing."""
+    """An exterior estimate meets no stabilization rule before r_max."""

@@ -144,21 +144,22 @@ def _cylinder_profile(n: int, s_max: float) -> MetricProfile:
         c3=0.0)
 
 
-def exterior_quotient(profile: MetricProfile, r_in: float,
-                      R_out: float | None = None, tol_out: float = 1e-3,
-                      nodes_per_unit: int = 64, growth: float = 1.5,
-                      max_steps: int = 48, length_cap: float = 25.0,
+def exterior_quotient(profile: MetricProfile, r_in: float, *,
+                      tol_out: float = 1e-3, nodes_per_unit: int = 64,
+                      length_cap: float = 25.0,
                       solver_tol: float = 1e-10) -> ExteriorEstimate:
     """Estimate the Yamabe constant of the annular exterior of B_{r_in}.
 
-    The critical quotient over radial fields on the annulus [r_in, R_out]
-    is conformally invariant, and the annulus is conformal to the product
-    cylinder segment of length S = int dr/f.  Minimizing in the cylinder
-    gauge keeps the optimizer at unit scale regardless of how stretched
-    the annulus is in r, which direct r-space grids cannot afford.  Each
-    segment runs the warm-started subcritical continuation; R_out grows
-    geometrically until the value changes by less than ``tol_out``
-    (relative).  Hitting r_max first raises StabilizationError.
+    The critical quotient over radial fields on the annulus
+    [r_in, r_max] is conformally invariant, and the annulus is conformal
+    to the product cylinder segment of length L = int dr/f.  The value
+    therefore depends only on n and L, and tends to Lambda(n) as L grows
+    (the round cylinder is conformal to R^n minus a point).  One
+    quadrature gives L_total over [r_in, r_max]; one warm-started
+    subcritical continuation on the cylinder segment of length
+    L = min(L_total, length_cap), with max(64, ceil(nodes_per_unit L))
+    nodes, gives the value.  Minimizing in the cylinder gauge keeps the
+    optimizer at unit scale however stretched the annulus is in r.
 
     Segments longer than ``length_cap`` are truncated to it: the value is
     monotone decreasing and exponentially converged in the length by
@@ -166,40 +167,37 @@ def exterior_quotient(profile: MetricProfile, r_in: float,
     translation-degenerate.  Truncation keeps the estimate a rigorous
     upper bound (Dirichlet fields on the truncated segment embed in the
     full one).
+
+    The estimate is stabilized when (a) the length reached
+    ``length_cap``, (b) the value is within ``tol_out`` (relative) of
+    the exact limit, value <= Lambda(n) (1 + tol_out), or (c) the
+    length has converged in r: the outer half [(r_in + r_max)/2, r_max]
+    contributes at most tol_out L_total (finite int dr/f, as on
+    hyperbolic space).  Otherwise StabilizationError is raised.
     """
     from .subcritical import continue_to_critical
 
-    p = critical_exponent(profile.n)
-    if R_out is None:
-        R_out = min(profile.r_max, max(2.0 * r_in, r_in + 4.0))
-    if not 0 < r_in < R_out <= profile.r_max:
-        raise DomainError(
-            f"need 0 < r_in < R_out <= r_max, got [{r_in}, {R_out}]")
-    history = []
-    value = None
-    r_out = R_out
-    for _ in range(max_steps):
-        length = min(cylinder_length(profile, r_in, r_out), length_cap)
-        s_hi = _CYL_OFFSET + length
-        cyl = _cylinder_profile(profile.n, s_hi)
-        N = max(64, int(math.ceil(nodes_per_unit * length)))
-        grid = RadialGrid(j=s_hi, N=N, r_lo=_CYL_OFFSET)
-        result = continue_to_critical(cyl, grid, tol=solver_tol,
-                                      critical_polish=False)
-        lam = result.y_best
-        history.append((r_out, lam))
-        if value is not None and abs(lam - value) <= tol_out * abs(value):
-            return ExteriorEstimate(value=lam, r_in=r_in, r_out=r_out,
-                                    s=float(p), stabilized=True,
-                                    history=tuple(history))
-        value = lam
-        next_r = r_in + (r_out - r_in) * growth
-        if next_r > profile.r_max:
-            break
-        r_out = next_r
-    raise StabilizationError(
-        f"exterior quotient did not stabilize before r_max = {profile.r_max} "
-        f"(r_in = {r_in}; history = {history})")
+    n, r_max = profile.n, profile.r_max
+    total = cylinder_length(profile, r_in, r_max)
+    length = min(total, length_cap)
+    s_hi = _CYL_OFFSET + length
+    N = max(64, int(math.ceil(nodes_per_unit * length)))
+    grid = RadialGrid(j=s_hi, N=N, r_lo=_CYL_OFFSET)
+    value = continue_to_critical(_cylinder_profile(n, s_hi), grid,
+                                 tol=solver_tol,
+                                 critical_polish=False).y_best
+    stabilized = (
+        total >= length_cap
+        or value <= lambda_constant(n) * (1.0 + tol_out)
+        or cylinder_length(profile, 0.5 * (r_in + r_max), r_max)
+        <= tol_out * total)
+    if not stabilized:
+        raise StabilizationError(
+            f"exterior quotient did not stabilize before r_max = {r_max} "
+            f"(r_in = {r_in}; L = {total:.6g}, value = {value:.6g})")
+    return ExteriorEstimate(value=value, r_in=r_in, r_out=r_max,
+                            s=float(critical_exponent(n)), stabilized=True,
+                            history=((r_max, value),))
 
 
 class ScalarLowerBound(NamedTuple):

@@ -110,8 +110,18 @@ def sphere(n: int, r_max: float = 0.9 * math.pi) -> MetricProfile:
     )
 
 
+# Beyond this |r| the cigar's f' = sech^2 r (< 1e-260 there) returns 0.0;
+# cosh r itself overflows past |r| ~ 710.
+_SECH_CUTOFF = 300.0
+
+
 def cigar(n: int, r_max: float = 40.0) -> MetricProfile:
     """Cigar-type profile f(r) = tanh r (cylindrical end)."""
+
+    def fp(r):
+        r = np.asarray(r, dtype=float)
+        c = np.cosh(np.clip(r, -_SECH_CUTOFF, _SECH_CUTOFF))
+        return np.where(np.abs(r) > _SECH_CUTOFF, 0.0, 1.0 / c**2)[()]
 
     def fpp(r):
         t = np.tanh(r)
@@ -119,7 +129,7 @@ def cigar(n: int, r_max: float = 40.0) -> MetricProfile:
 
     return MetricProfile(
         n=n, r_max=r_max, name="cigar",
-        f=np.tanh, f_prime=lambda r: 1.0 / np.cosh(r) ** 2, f_second=fpp,
+        f=np.tanh, f_prime=fp, f_second=fpp,
         c3=-1.0 / 3.0,
     )
 

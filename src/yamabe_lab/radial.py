@@ -188,11 +188,15 @@ def load_field_csv(path, boundary="free") -> RadialField:
     rows = []
     with Path(path).open(newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, [])
         if [c.strip() for c in header[:2]] != ["r", "u"]:
             raise DomainError(f"field file {path} must have header 'r,u'")
         for row in reader:
+            if len(row) < 2:
+                raise DomainError(f"field file {path}: short row {row}")
             rows.append((float(row[0]), float(row[1])))
+    if len(rows) < 2:
+        raise DomainError(f"field file {path} needs at least two rows")
     data = np.asarray(rows)
     r, values = data[:, 0], data[:, 1]
     steps = np.diff(r)

@@ -46,7 +46,7 @@ def exhaust_out(flat_config, tmp_path_factory):
 
 def test_constants_command(flat_config, capsys, tmp_path):
     code, out = _run(capsys, "constants", "--config", flat_config,
-                     "--out", str(tmp_path), "--jobs", "2")
+                     "--out", str(tmp_path))
     assert code == 0
     report = json.loads(out)
     assert report["command"] == "constants"
@@ -59,7 +59,24 @@ def test_constants_command(flat_config, capsys, tmp_path):
     # conformally flat family: the strict-margin condition cannot hold
     assert not body["condition"]["holds"]
     assert "condition fails" in body["verdict"]
+    assert body["reason"] is None
+    assert all(row["r_out"] == 1e8 for row in body["exterior"])
     assert (tmp_path / "constants.json").exists()
+
+
+def test_constants_hyperbolic_exterior_above_aubin_inconclusive(configs_dir,
+                                                                capsys):
+    # int_2^30 dr/sinh is finite, so the radial exterior estimate sits far
+    # above Lambda(3); Aubin's bound forbids that, so no verdict is drawn.
+    code, out = _run(capsys, "constants", "--config",
+                     str(configs_dir / "hyperbolic3.json"))
+    assert code == 0
+    body = json.loads(out)["report"]
+    assert body["y_inf_est"] > 1.01 * body["lambda"]
+    assert not body["chain"]["holds"]
+    assert body["condition"]["holds"] is None
+    assert body["verdict"].startswith("inconclusive")
+    assert body["reason"] == "exterior_above_aubin"
 
 
 def test_exhaust_report_contents(exhaust_out):
@@ -85,9 +102,33 @@ def test_decay_command(flat_config, exhaust_out, capsys):
     assert body["verdict"].startswith("hypothesis fails")
 
 
+def test_decay_exterior_above_aubin_inconclusive(exhaust_out, tmp_path,
+                                                 capsys):
+    # f = r + r^3 grows polynomially but int_2^inf dr/f is finite (the
+    # outer half of [2, 1000] adds 1.5e-6 to L = 0.11), so the radial
+    # exterior estimate is stabilized far above Lambda(3): no verdict.
+    table = tmp_path / "cubic.csv"
+    r = np.linspace(0.0, 1000.0, 20001)
+    table.write_text("r,f\n" + "".join(f"{t},{t + t**3}\n" for t in r))
+    config = tmp_path / "cubic.json"
+    config.write_text(json.dumps({
+        "profile": {"name": "table", "n": 3, "r_max": 1000.0,
+                    "table": str(table)},
+        "pipeline": {"r_in": [2.0]},
+    }))
+    code, out = _run(capsys, "decay", "--config", str(config),
+                     "--trace", str(exhaust_out / "trace.json"))
+    assert code == 0
+    body = json.loads(out)["report"]
+    assert not body["volume_growth"]["exponential"]
+    assert body["y_inf_est"] > 1.01 * 5.477904089531331
+    assert body["verdict"].startswith("inconclusive")
+    assert body["reason"] == "exterior_above_aubin"
+
+
 def test_bubble_command(flat_config, capsys):
     code, out = _run(capsys, "bubble", "--config", flat_config,
-                     "--alphas", "0.2,0.1,0.05", "--jobs", "2")
+                     "--alphas", "0.2,0.1,0.05")
     assert code == 0
     body = json.loads(out)["report"]
     quotients = [row["quotient"] for row in body["quotients"]]
@@ -156,6 +197,29 @@ def test_unknown_profile_exits_one(tmp_path, capsys):
     path.write_text(json.dumps({"profile": {"name": "moebius"}}))
     code, _ = _run(capsys, "constants", "--config", str(path))
     assert code == 1
+
+
+@pytest.mark.parametrize("block", [
+    {"profile": {"n": "3"}},
+    {"grid": {"nodes_per_unit": -5}},
+])
+def test_bad_config_value_exits_one(tmp_path, capsys, block):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(block))
+    code = main(["constants", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error [constants]: DomainError")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_empty_field_csv_exits_one(flat_config, tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    code = main(["blowup", "--config", flat_config, "--field", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error [blowup]: DomainError")
 
 
 def test_unknown_command_rejected():

@@ -56,3 +56,28 @@ def test_shipped_configs_load(configs_dir):
         prof = profile_from_config(cfg)
         assert prof.n == 3
         assert len(cfg.pipeline.radii) >= 3
+
+
+@pytest.mark.parametrize("block, match", [
+    ({"profile": {"n": "3"}}, "must be int"),
+    ({"profile": {"n": True}}, "must be int"),
+    ({"solver": {"tol": "x"}}, "must be float"),
+    ({"pipeline": {"radii": [2.0, "x"]}}, "must be tuple"),
+    ({"grid": {"nodes_per_unit": -5}}, "must be positive"),
+    ({"grid": 5}, "must be a JSON object"),
+])
+def test_bad_values_rejected(tmp_path, block, match):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(block))
+    with pytest.raises(DomainError, match=match):
+        load_config(path)
+
+
+def test_ints_accepted_for_floats_and_null_for_optionals(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "profile": {"r_max": 30, "table": None},
+        "pipeline": {"radii": [1, 2.5, 4], "rho": None, "y_value": 5},
+    }))
+    cfg = load_config(path)
+    assert cfg.profile.r_max == 30 and cfg.pipeline.radii == (1, 2.5, 4)

@@ -144,16 +144,40 @@ def test_cylinder_length_hyperbolic_finite_total():
 
 def test_flat_exterior_quotient_near_lambda():
     # The flat exterior has Yamabe constant Lambda (scaling moves any
-    # test function into the exterior); the radial estimate must land
-    # within half a percent above it.
+    # test function into the exterior); the radial estimate at the
+    # conformal length L = ln(5e7) must land within 0.1% above it.
     prof = manifold.euclidean(3, r_max=1e8)
     est = exterior_quotient(prof, 2.0)
     lam = lambda_constant(3)
     assert est.stabilized
-    assert lam * (1 - 1e-6) <= est.value <= lam * 1.005
+    assert est.r_out == prof.r_max
+    assert est.history == ((prof.r_max, est.value),)
+    assert lam * (1 - 1e-6) <= est.value <= lam * 1.001
+
+
+def test_exterior_quotient_depends_only_on_conformal_length():
+    # On the cigar both inner radii give L = int dr/tanh >= the cap, so
+    # the same cylinder problem is solved and the values agree exactly.
+    prof = manifold.cigar(3, r_max=1e8)
+    a = exterior_quotient(prof, 2.0)
+    b = exterior_quotient(prof, 4.0)
+    assert a.stabilized and b.stabilized
+    assert a.value == b.value
+
+
+def test_hyperbolic_exterior_stabilizes_on_finite_length():
+    # int_2^30 dr / sinh = 0.27 converges: the outer half of [2, 30] adds
+    # nothing, so the estimate is stabilized although far above Lambda.
+    prof = manifold.hyperbolic(3, r_max=30.0)
+    est = exterior_quotient(prof, 2.0)
+    assert est.stabilized
+    assert est.r_out == prof.r_max
+    assert est.value > lambda_constant(3) * 1.01
 
 
 def test_exterior_stabilization_error_on_small_r_max():
+    # Flat [2, 6]: L = ln 3 is short, the value is far above Lambda and
+    # the outer half [4, 6] still carries a third of the length.
     prof = manifold.euclidean(3, r_max=6.0)
     from yamabe_lab.errors import StabilizationError
     with pytest.raises(StabilizationError):

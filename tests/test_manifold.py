@@ -1,6 +1,7 @@
 """Metric profiles: validation, curvature, volumes, growth exponents."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,20 @@ def test_cigar_curvature_limits():
     prof = manifold.cigar(3, r_max=50.0)
     assert prof.scalar_curvature(0.0) == pytest.approx(12.0, rel=1e-12)
     assert prof.scalar_curvature(30.0) == pytest.approx(2.0, rel=1e-6)
+
+
+def test_cigar_slope_bit_identical_and_warning_free():
+    # f' = sech^2 r: unchanged bits for |r| <= 300, 0.0 and no overflow
+    # warning far out (scalar_lower_bound samples up to r_max = 1e8).
+    prof = manifold.cigar(3, r_max=1e8)
+    r = np.linspace(-300.0, 300.0, 60001)
+    assert np.array_equal(prof.f_prime(r), 1.0 / np.cosh(r) ** 2)
+    assert prof.f_prime(2.0) == 1.0 / np.cosh(2.0) ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert prof.f_prime(1e8) == 0.0
+        assert np.all(prof.f_prime(np.array([301.0, 710.0, 1e8])) == 0.0)
+        prof.scalar_curvature(np.linspace(0.0, 1e8, 16384))
 
 
 def test_pole_series_matches_direct_formula():
