@@ -24,7 +24,7 @@ class ProfileConfig:
 
     name: str = "euclidean"
     n: int = 3
-    r_max: float = 40.0
+    r_max: float = 1e8
     params: dict = field(default_factory=dict)
     table: str | None = None  # CSV path for name == "table"
 

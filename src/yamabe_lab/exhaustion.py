@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -491,18 +491,3 @@ def load_trace(path) -> ExhaustionTrace:
                            n=manifest["n"], radii=tuple(manifest["radii"]),
                            records=tuple(records),
                            tol_mono=manifest["tol_mono"])
-
-
-# -- K-normalization of the limit field --------------------------------------
-
-
-def k_normalize(field: RadialField, y: float, n: int):
-    """Dilation u -> |Y|^{1/(p-2)} u making the coefficient K = sign(Y).
-
-    Returns (field, K).  For Y = 0 the field is returned unchanged.
-    """
-    p = critical_exponent(n)
-    if y == 0.0:
-        return field, 0
-    scale = abs(y) ** (1.0 / (p - 2.0))
-    return replace(field, values=field.values * scale), (1 if y > 0 else -1)

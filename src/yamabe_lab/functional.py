@@ -207,6 +207,25 @@ class ScalarLowerBound(NamedTuple):
     divergent: bool
 
 
+# Radius up to which scalar_lower_bound samples uniformly; beyond it the
+# samples are geometric, so the pole region stays resolved however far
+# out R_out lies (the curvature features of the profile class sit at
+# r = O(1)).
+_UNIFORM_SPAN = 100.0
+
+
+def _lower_bound_samples(R_out: float, samples: int) -> np.ndarray:
+    """Sample radii on [0, R_out]: uniform when R_out <= _UNIFORM_SPAN,
+    else half uniform on [0, _UNIFORM_SPAN) and half geometric on
+    [_UNIFORM_SPAN, R_out]."""
+    if R_out <= _UNIFORM_SPAN:
+        return np.linspace(0.0, R_out, samples)
+    half = samples // 2
+    return np.concatenate([
+        np.linspace(0.0, _UNIFORM_SPAN, half, endpoint=False),
+        np.geomspace(_UNIFORM_SPAN, R_out, samples - half)])
+
+
 def scalar_lower_bound(profile: MetricProfile, R_out: float | None = None,
                        samples: int = 16384) -> ScalarLowerBound:
     """Lower bound of Lemma-type: nonpositive, 0 when R_g >= 0."""
@@ -214,7 +233,7 @@ def scalar_lower_bound(profile: MetricProfile, R_out: float | None = None,
         R_out = profile.r_max
     profile.check_radius(R_out)
     n = profile.n
-    r = np.linspace(0.0, R_out, samples)
+    r = _lower_bound_samples(R_out, samples)
     curvature = np.asarray(profile.scalar_curvature(r), dtype=float)
     negative = np.maximum(-curvature, 0.0)
     fvals = np.asarray(profile.f(r), dtype=float)
@@ -230,15 +249,3 @@ def scalar_lower_bound(profile: MetricProfile, R_out: float | None = None,
         return ScalarLowerBound(value=None, divergent=True)
     return ScalarLowerBound(
         value=-conformal_coupling(n) * total ** (2.0 / n), divergent=False)
-
-
-def quotient_of(field: RadialField, profile: MetricProfile,
-                s: float | None = None, domain: str = "") -> QuotientReport:
-    """QuotientReport for an explicit dirichlet field."""
-    if s is None:
-        s = critical_exponent(profile.n)
-    energy = yamabe_energy(field, profile)
-    norm = lp_norm(field, s, profile)
-    return QuotientReport(domain=domain or f"ball:{field.grid.j:g}",
-                          s=float(s), energy=energy, norm=norm,
-                          quotient=energy / norm**2)

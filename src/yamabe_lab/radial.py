@@ -77,10 +77,6 @@ class RadialField:
         return replace(self, values=np.asarray(values, dtype=float))
 
 
-def field_from_function(grid: RadialGrid, fn, boundary="free") -> RadialField:
-    return RadialField(grid, np.asarray(fn(grid.nodes), dtype=float), boundary)
-
-
 def _check_compatible(u: RadialField, profile: MetricProfile):
     if u.grid.j > profile.r_max * (1 + 1e-12):
         raise DomainError(

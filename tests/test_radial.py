@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 
 from yamabe_lab import manifold
 from yamabe_lab.errors import DomainError
-from yamabe_lab.radial import (RadialField, RadialGrid, field_from_function,
-                               gradient_energy, integrate, laplace_beltrami,
-                               load_field_csv, lp_norm, node_weights,
-                               save_field_csv, yamabe_energy)
+from yamabe_lab.radial import (RadialField, RadialGrid, gradient_energy,
+                               integrate, laplace_beltrami, load_field_csv,
+                               lp_norm, node_weights, save_field_csv,
+                               yamabe_energy)
 from yamabe_lab.subcritical import DiscreteOperator
+
+
+def field_from_function(grid: RadialGrid, fn, boundary="free") -> RadialField:
+    return RadialField(grid, np.asarray(fn(grid.nodes), dtype=float), boundary)
 
 
 # -- grids and fields --------------------------------------------------------

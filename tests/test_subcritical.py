@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from yamabe_lab import manifold
-from yamabe_lab.constants import critical_exponent
+from yamabe_lab import manifold, subcritical
+from yamabe_lab.constants import conformal_coupling, critical_exponent
 from yamabe_lab.errors import ConvergenceError, DomainError
 from yamabe_lab.radial import (RadialField, RadialGrid, lp_norm,
-                               node_weights, yamabe_energy)
+                               midpoint_weights, node_weights, yamabe_energy)
 from yamabe_lab.subcritical import (continue_to_critical, default_schedule,
                                     el_residual, first_eigenpair,
                                     solve_subcritical)
@@ -182,3 +182,107 @@ def test_continuation_rejects_bad_schedule():
     with pytest.raises(DomainError):
         continue_to_critical(prof, RadialGrid(j=1.0, N=64),
                              schedule=[2.5, 6.0])
+
+
+# -- per-grid invariants: one operator per continuation ----------------------
+
+
+def test_continuation_builds_one_operator(monkeypatch):
+    # Ball (ends on a grid-scale spike) and annulus (reaches the critical
+    # polish): the eigenpair, every schedule step and the polish share
+    # one DiscreteOperator.
+    builds = []
+    original = subcritical.DiscreteOperator.__init__
+
+    def counting_init(self, profile, grid):
+        builds.append(grid)
+        original(self, profile, grid)
+
+    monkeypatch.setattr(subcritical.DiscreteOperator, "__init__",
+                        counting_init)
+    prof = manifold.euclidean(3, r_max=20.0)
+    ball = continue_to_critical(prof, RadialGrid(j=1.0, N=64))
+    assert "spike" in ball.concentration_reason
+    assert len(builds) == 1
+    annulus = RadialGrid(j=3.0, N=128, r_lo=1.0)
+    polished = continue_to_critical(prof, annulus)
+    assert polished.y_critical is not None
+    assert builds[1:] == [annulus]
+
+
+def _dense_operator(profile, grid):
+    """Dense A on all nodes, assembled entry by entry from the midpoint
+    Dirichlet form and the trapezoid c(n) R_g mass."""
+    h, N = grid.h, grid.N
+    wm = midpoint_weights(grid, profile)
+    mass = (node_weights(grid, profile) * conformal_coupling(profile.n)
+            * profile.scalar_curvature(grid.nodes))
+    A = np.diag(mass)
+    for i in range(N):
+        A[i, i] += wm[i] / h
+        A[i + 1, i + 1] += wm[i] / h
+        A[i, i + 1] -= wm[i] / h
+        A[i + 1, i] -= wm[i] / h
+    return A
+
+
+def _old_apply(op, u):
+    # The all-node product the operator used before it kept its
+    # unknown block: zero-padded, then diag, upper and lower terms.
+    v = np.zeros(op.grid.N + 1)
+    v[op.lo:op.hi] = u
+    out = op.diag * v
+    out[:-1] += op.off * v[1:]
+    out[1:] += op.off * v[:-1]
+    return out[op.lo:op.hi]
+
+
+def _old_strong_norm(op, res):
+    w = op.W[op.lo:op.hi].copy()
+    zero = w == 0.0
+    if np.any(zero):
+        w[zero] = midpoint_weights(op.grid, op.profile)[0] * op.grid.h
+    return float(np.sqrt(np.sum(res**2 / w)))
+
+
+@pytest.mark.parametrize("profile, grid", [
+    (manifold.power_bump(3, -0.5, 0.25, 40.0), RadialGrid(j=3.0, N=96)),
+    (manifold.hyperbolic(3, 10.0), RadialGrid(j=4.0, N=80, r_lo=1.5)),
+])
+def test_operator_apply_and_strong_norm_references(profile, grid):
+    op = subcritical.DiscreteOperator(profile, grid)
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(op.n_unknowns)
+    A = _dense_operator(profile, grid)[op.lo:op.hi, op.lo:op.hi]
+    au = op.apply(u)
+    np.testing.assert_allclose(au, A @ u, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(A)))
+    assert np.array_equal(au, _old_apply(op, u))
+    assert op.energy(u) == float(u @ _old_apply(op, u))
+    res = au - 2.5 * op.weights() * u
+    # Bit-level agreement over many draws: reordering the division (say,
+    # multiplying by 1/w) changes a few of them in the last place.
+    for draw in rng.standard_normal((40, op.n_unknowns)):
+        assert op.strong_norm(draw) == _old_strong_norm(op, draw)
+    # The pole row carries zero quadrature weight and is measured through
+    # the half-interval stiffness mass.
+    w = op.weights()
+    expected = np.where(w == 0.0, midpoint_weights(grid, profile)[0] * grid.h,
+                        w)
+    assert op.strong_norm(res) == pytest.approx(
+        math.sqrt(float(np.sum(res**2 / expected))), rel=1e-14)
+    assert (w[0] == 0.0) == grid.is_ball
+
+
+def test_continuation_golden_values():
+    # Captured before the operator was hoisted out of the schedule; the
+    # solver loop must reproduce every bit.
+    result = continue_to_critical(manifold.euclidean(3, 2.0),
+                                  RadialGrid(j=1.0, N=64))
+    assert result.lam_values == [
+        10.947978343668883, 10.54147480426828, 9.229593201046807,
+        8.16493292382319, 7.390953888061803, 6.8380019857597985,
+        6.426567159487712, 6.13487576793015]
+    assert result.y_extrapolated == 5.616083270997345
+    assert result.concentration_reason == (
+        "minimizer narrowed to a grid-scale spike at s = 5.820813")
