@@ -44,7 +44,8 @@ def screen(n, a, b, r_max, j=8.0, nodes=1024):
     """Cheap per-candidate numbers: lambda_1 on B_10 and Y on B_8."""
     profile = manifold.power_bump(n, a=a, b=b, r_max=r_max)
     grid = radial.RadialGrid(j=10.0, N=1280)
-    lam1, _ = subcritical.first_eigenpair(profile, grid)
+    lam1, _ = subcritical.first_eigenpair(
+        subcritical.DiscreteOperator(profile, grid))
     result = subcritical.continue_to_critical(
         profile, radial.RadialGrid(j=j, N=nodes))
     return lam1, result.y_best, result.concentration

@@ -73,8 +73,12 @@ class RescaledField:
             raise DomainError("rescaled field must stay in [0, 1]")
 
 
-def rescale(u: RadialField, profile: MetricProfile, window: float | None = None,
-            samples_per_unit: int = 64) -> RescaledField:
+# Resampling density of the rescaled window, in samples per unit of x.
+_SAMPLES_PER_UNIT = 64
+
+
+def rescale(u: RadialField, profile: MetricProfile,
+            window: float | None = None) -> RescaledField:
     """Blow-up rescaling v(x) = u(x_c + delta x)/m around the maximum.
 
     The maximum must sit at an interior node (boundary blow-up is outside
@@ -99,7 +103,7 @@ def rescale(u: RadialField, profile: MetricProfile, window: float | None = None,
             f"window {window} leaves the grid (rho_k = {rho_k:.3g})")
     spline = CubicSpline(grid.nodes, vals)
     x = np.linspace(-window, window,
-                    2 * max(8, int(round(samples_per_unit * window))) + 1)
+                    2 * max(8, int(round(_SAMPLES_PER_UNIT * window))) + 1)
     r_samples = center + delta * x
     if grid.is_ball:
         r_samples = np.abs(r_samples)  # even reflection through the pole
@@ -130,21 +134,18 @@ class IdentityReport:
                 "mass_p": self.mass_p, "R_ball": self.R_ball}
 
 
-def energy_identity_check(x, v, n: int, Y: float,
-                          R_ball: float | None = None) -> IdentityReport:
+def energy_identity_check(x, v, n: int, Y: float) -> IdentityReport:
     """Check int_{B_R} |grad v|^2 = Y int_{B_R} v^p + flux(R) on flat R^n.
 
-    ``x``/``v`` are fine radial samples of an entire-solution candidate;
-    the flux term is omega_{n-1} R^{n-1} v(R) v'(R).
+    ``x``/``v`` are fine radial samples, increasing in x, of an
+    entire-solution candidate on [x[0], R] with R = x[-1]; the flux term
+    is omega_{n-1} R^{n-1} v(R) v'(R).
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if x.ndim != 1 or x.shape != v.shape or x.size < 32:
         raise DomainError("need matching 1-d sample arrays (>= 32 points)")
-    if R_ball is None:
-        R_ball = float(x[-1])
-    mask = x <= R_ball + 1e-12
-    x, v = x[mask], v[mask]
+    R_ball = float(x[-1])
     p = critical_exponent(n)
     omega = area_weight(n)
     spline = CubicSpline(x, v)
@@ -179,13 +180,16 @@ class ContradictionReport:
                 "consistent": self.consistent}
 
 
-def contradiction_test(x, v, n: int, Y: float,
-                       rel_tol: float = 0.02) -> ContradictionReport:
+# Relative tolerance of the contradiction chain Lambda <= Y (int v^p)^{2/n}.
+_CONTRADICTION_REL_TOL = 0.02
+
+
+def contradiction_test(x, v, n: int, Y: float) -> ContradictionReport:
     """Evaluate the concentration-contradiction inequality chain.
 
     Verdict ``consistent`` means the extrapolated full-space quantities
-    satisfy Lambda <= Y (int v^p)^{2/n} within ``rel_tol``; for the
-    extremal bubble at Y = Lambda the two sides agree.
+    satisfy Lambda <= Y (int v^p)^{2/n} within ``_CONTRADICTION_REL_TOL``;
+    for the extremal bubble at Y = Lambda the two sides agree.
     """
     from .functional import lambda_constant
 
@@ -223,4 +227,4 @@ def contradiction_test(x, v, n: int, Y: float,
     return ContradictionReport(
         lhs=lhs, rhs=rhs, total_mass=total, tail_mass=tail,
         tail_uncertainty=abs(tail - tail_alt),
-        consistent=bool(rhs >= lhs * (1.0 - rel_tol)))
+        consistent=bool(rhs >= lhs * (1.0 - _CONTRADICTION_REL_TOL)))

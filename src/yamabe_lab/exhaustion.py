@@ -22,6 +22,17 @@ from .subcritical import (ContinuationResult, DiscreteOperator, _odd_power,
                           continue_to_critical)
 
 BOUNDARY_LAYER = 0.125  # thickness of U_j = {d(x, boundary) < 1/8}, fixed
+_EXTENSION_FACTOR = 2.0  # subsolution check extends u_j by zero to 2 j
+_SUBSOLUTION_TOL_REL = 1e-6  # of the largest nonlinear term
+_MIN_TAIL_POINTS = 10  # positive nodes a decay-fit window must hold
+_DECAY_SLACK = 0.2  # alpha_fitted >= alpha_predicted - slack passes
+_BOUNDARY_RATIO_CAP = 2.0  # max/min of the upper half's boundary maxima
+_BOUNDARY_FLOOR = 1e-2  # boundary maxima below this pass outright
+# Verdict: sup_(B_R) u_j is stable within a factor _STABLE_BAND (and above
+# _POSITIVE_FLOOR); a monotone trend must move by a factor _TREND_FACTOR.
+_STABLE_BAND = 2.0
+_TREND_FACTOR = 3.0
+_POSITIVE_FLOOR = 1e-6
 
 
 # -- trace -------------------------------------------------------------------
@@ -159,9 +170,8 @@ class SubsolutionReport:
 
 
 def subsolution_check(trace: ExhaustionTrace, j: float,
-                      profile: MetricProfile, extension_factor: float = 2.0,
-                      tol_rel: float = 1e-6) -> SubsolutionReport:
-    """Weak-inequality check for u_j extended by zero beyond its ball.
+                      profile: MetricProfile) -> SubsolutionReport:
+    """Weak-inequality check for u_j extended by zero to _EXTENSION_FACTOR j.
 
     Tests against hat functions at every interior node of the extension
     grid: violation_k = <grad u, grad hat_k> + c(n) <R u, hat_k>
@@ -175,7 +185,7 @@ def subsolution_check(trace: ExhaustionTrace, j: float,
     (u -> c u turns the multiplier into lam c^{2-s}).
     """
     rec = trace.record_for(j)
-    big_j = extension_factor * j
+    big_j = _EXTENSION_FACTOR * j
     if big_j > profile.r_max:
         raise DomainError(f"extension radius {big_j} exceeds r_max")
     p = critical_exponent(profile.n)
@@ -196,7 +206,7 @@ def subsolution_check(trace: ExhaustionTrace, j: float,
     weak = op.apply(u) - lam_eq * op.weights() * _odd_power(u, s_eq - 1.0)
     scale = max(1.0, float(np.max(np.abs(lam_eq) * op.weights()
                                   * np.abs(u) ** (s_eq - 1.0))))
-    tol = tol_rel * scale
+    tol = _SUBSOLUTION_TOL_REL * scale
     k = int(np.argmax(weak))
     return SubsolutionReport(max_violation=float(weak[k]), tol=tol,
                              passed=bool(weak[k] <= tol),
@@ -302,15 +312,14 @@ class DecayFit:
                 "alpha_predicted": self.alpha_predicted, "passed": self.passed}
 
 
-def fit_tail_exponent(field: RadialField, r_lo: float, r_hi: float,
-                      min_points: int = 10):
+def fit_tail_exponent(field: RadialField, r_lo: float, r_hi: float):
     """Least-squares power-law exponent of u on [r_lo, r_hi] (negated)."""
     r, u = field.grid.nodes, field.values
     mask = (r >= r_lo) & (r <= r_hi) & (u > 0)
-    if int(np.sum(mask)) < min_points:
+    if int(np.sum(mask)) < _MIN_TAIL_POINTS:
         raise DomainError(
             f"window [{r_lo:.3g}, {r_hi:.3g}] holds {int(np.sum(mask))} "
-            f"positive nodes, need >= {min_points}")
+            f"positive nodes, need >= {_MIN_TAIL_POINTS}")
     x, y = np.log(r[mask]), np.log(u[mask])
     coeffs, res, *_ = np.polyfit(x, y, 1, full=True)
     rms = math.sqrt(float(res[0]) / len(x)) if len(res) else 0.0
@@ -319,8 +328,7 @@ def fit_tail_exponent(field: RadialField, r_lo: float, r_hi: float,
 
 def decay_fit(trace: ExhaustionTrace, window_frac: float = 0.5,
               window_hi: float = 0.95,
-              alpha_predicted: float | None = None,
-              slack: float = 0.2) -> DecayFit:
+              alpha_predicted: float | None = None) -> DecayFit:
     """Fit the tail decay exponent of the largest-j field.
 
     The window is [window_frac * j, window_hi * j]; nonpositive tail
@@ -333,7 +341,7 @@ def decay_fit(trace: ExhaustionTrace, window_frac: float = 0.5,
     r_lo, r_hi = window_frac * rec.j, window_hi * rec.j
     alpha, rms, count = fit_tail_exponent(rec.field, r_lo, r_hi)
     passed = None if alpha_predicted is None \
-        else bool(alpha >= alpha_predicted - slack)
+        else bool(alpha >= alpha_predicted - _DECAY_SLACK)
     return DecayFit(alpha_fitted=alpha, residual=rms, window=(r_lo, r_hi),
                     n_points=count, alpha_predicted=alpha_predicted,
                     passed=passed)
@@ -354,26 +362,23 @@ class BoundaryBound:
                 "passed": self.passed, "floor": self.floor}
 
 
-def boundary_bound(trace: ExhaustionTrace, ratio_cap: float = 2.0,
-                   floor: float = 1e-2) -> BoundaryBound:
+def boundary_bound(trace: ExhaustionTrace) -> BoundaryBound:
     """Boundedness proxy: boundary-layer maxima must not drift.
 
     Over the upper half of the radii the max/min ratio must stay below
-    ``ratio_cap``; tails that are uniformly below ``floor`` pass outright
-    (ratios of vanishing tails are noise, not growth).
+    ``_BOUNDARY_RATIO_CAP``; tails that are uniformly below
+    ``_BOUNDARY_FLOOR`` pass outright (ratios of vanishing tails are
+    noise, not growth).
     """
     if not trace.records:
         raise DomainError("empty trace")
     values = tuple(rec.boundary_max for rec in trace.records)
     upper = values[len(values) // 2:]
     top = max(upper)
-    if top <= floor:
-        return BoundaryBound(values=values, ratio=1.0, passed=True,
-                             floor=floor)
-    bottom = max(min(upper), 1e-300)
-    ratio = top / bottom
+    ratio = 1.0 if top <= _BOUNDARY_FLOOR else top / max(min(upper), 1e-300)
     return BoundaryBound(values=values, ratio=float(ratio),
-                         passed=bool(ratio <= ratio_cap), floor=floor)
+                         passed=bool(ratio <= _BOUNDARY_RATIO_CAP),
+                         floor=_BOUNDARY_FLOOR)
 
 
 # -- non-concentration verdict -----------------------------------------------
@@ -390,10 +395,7 @@ class Verdict:
                 "detail": self.detail}
 
 
-def concentration_verdict(trace: ExhaustionTrace, R: float,
-                          stable_band: float = 2.0,
-                          trend_factor: float = 3.0,
-                          positive_floor: float = 1e-6) -> Verdict:
+def concentration_verdict(trace: ExhaustionTrace, R: float) -> Verdict:
     """Classify the limit behavior of u_j on the compact ball B_R."""
     if len(trace.records) < 3:
         raise DomainError("verdict needs >= 3 radii")
@@ -418,16 +420,16 @@ def concentration_verdict(trace: ExhaustionTrace, R: float,
 
     first, last = sups[0], sups[-1]
     diffs = np.diff(sups)
-    if last >= first / stable_band and last <= first * stable_band \
-            and min(sups) > positive_floor:
+    if last >= first / _STABLE_BAND and last <= first * _STABLE_BAND \
+            and min(sups) > _POSITIVE_FLOOR:
         return Verdict("converges-positive", sups,
                        f"sup_(B_R) u_j stable in [{min(sups):.4g}, "
                        f"{max(sups):.4g}]")
-    if np.all(diffs <= 0) and last < first / trend_factor:
+    if np.all(diffs <= 0) and last < first / _TREND_FACTOR:
         return Verdict("escapes", sups,
                        "sup_(B_R) u_j decreases toward zero while the "
                        "L^p norm stays 1")
-    if np.all(diffs >= 0) and last > first * trend_factor:
+    if np.all(diffs >= 0) and last > first * _TREND_FACTOR:
         return Verdict("concentrates", sups,
                        "sup_(B_R) u_j grows monotonically")
     return Verdict("inconclusive", sups,

@@ -37,10 +37,6 @@ class QuotientReport:
     norm: float
     quotient: float
 
-    def to_dict(self):
-        return {"domain": self.domain, "s": self.s, "energy": self.energy,
-                "norm": self.norm, "quotient": self.quotient}
-
 
 @dataclass(frozen=True)
 class BubbleSpec:
@@ -68,23 +64,25 @@ def _cutoff(r, eps):
     return 0.5 * (1.0 + np.cos(math.pi * t))
 
 
-# Nodes required inside r <= alpha for the quotient to be trusted.
+# Nodes required inside r <= alpha for the quotient to be trusted, and
+# nodes per alpha of the default grid.
 _MIN_NODES_IN_ALPHA = 16
+_BUBBLE_OVERSAMPLE = 64
 
 
 def bubble_quotient(profile: MetricProfile, spec: BubbleSpec,
-                    s: float | None = None, N: int | None = None,
-                    oversample: int = 64) -> QuotientReport:
-    """Q_s of the cut-off bubble eta u_alpha centered at the pole."""
+                    N: int | None = None) -> QuotientReport:
+    """Critical quotient Q_p of the cut-off bubble eta u_alpha centered at
+    the pole."""
     if 2.0 * spec.eps > profile.r_max:
         raise DomainError(
             f"cutoff support 2 eps = {2 * spec.eps} exceeds r_max")
-    if s is None:
-        s = critical_exponent(profile.n)
+    s = critical_exponent(profile.n)
     r_out = 2.0 * spec.eps
     required = int(math.ceil(_MIN_NODES_IN_ALPHA * r_out / spec.alpha))
     if N is None:
-        N = max(4096, int(math.ceil(oversample * r_out / spec.alpha)))
+        N = max(4096,
+                int(math.ceil(_BUBBLE_OVERSAMPLE * r_out / spec.alpha)))
     elif N < required:
         raise GridResolutionError(
             f"N = {N} leaves fewer than {_MIN_NODES_IN_ALPHA} nodes inside "
@@ -112,20 +110,20 @@ class ExteriorEstimate:
     stabilized: bool
     history: tuple
 
-    def to_dict(self):
-        return {"value": self.value, "r_in": self.r_in, "r_out": self.r_out,
-                "s": self.s, "stabilized": self.stabilized,
-                "history": list(self.history)}
-
 
 def cylinder_length(profile: MetricProfile, r_in: float, r_out: float) -> float:
-    """Conformal cylinder length of the annulus: S = int_{r_in}^{r_out} dr/f."""
+    """Conformal cylinder length of the annulus: S = int_{r_in}^{r_out} dr/f,
+    as int r/f dx in x = ln(r/r_in), so that every decade is sampled."""
     if not 0 < r_in < r_out <= profile.r_max:
         raise DomainError(
             f"need 0 < r_in < r_out <= r_max, got [{r_in}, {r_out}]")
     from scipy.integrate import quad
-    value, _ = quad(lambda t: 1.0 / float(profile.f(t)), r_in, r_out,
-                    limit=200)
+
+    def integrand(x):
+        r = r_in * math.exp(x)
+        return r / float(profile.f(r))
+
+    value, _ = quad(integrand, 0.0, math.log(r_out / r_in), limit=200)
     return float(value)
 
 
@@ -144,10 +142,13 @@ def _cylinder_profile(n: int, s_max: float) -> MetricProfile:
         c3=0.0)
 
 
+LENGTH_CAP = 25.0  # longest cylinder segment the exterior solve meshes
+_EXTERIOR_NODES_PER_UNIT = 64  # exterior grid nodes per unit length
+_EXTERIOR_SOLVER_TOL = 1e-10  # Newton tolerance of the exterior solve
+
+
 def exterior_quotient(profile: MetricProfile, r_in: float, *,
-                      tol_out: float = 1e-3, nodes_per_unit: int = 64,
-                      length_cap: float = 25.0,
-                      solver_tol: float = 1e-10) -> ExteriorEstimate:
+                      tol_out: float = 1e-3) -> ExteriorEstimate:
     """Estimate the Yamabe constant of the annular exterior of B_{r_in}.
 
     The critical quotient over radial fields on the annulus
@@ -157,11 +158,12 @@ def exterior_quotient(profile: MetricProfile, r_in: float, *,
     (the round cylinder is conformal to R^n minus a point).  One
     quadrature gives L_total over [r_in, r_max]; one warm-started
     subcritical continuation on the cylinder segment of length
-    L = min(L_total, length_cap), with max(64, ceil(nodes_per_unit L))
-    nodes, gives the value.  Minimizing in the cylinder gauge keeps the
-    optimizer at unit scale however stretched the annulus is in r.
+    L = min(L_total, LENGTH_CAP), with
+    max(64, ceil(_EXTERIOR_NODES_PER_UNIT L)) nodes, gives the value.
+    Minimizing in the cylinder gauge keeps the optimizer at unit scale
+    however stretched the annulus is in r.
 
-    Segments longer than ``length_cap`` are truncated to it: the value is
+    Segments longer than ``LENGTH_CAP`` are truncated to it: the value is
     monotone decreasing and exponentially converged in the length by
     then, while much longer cylinders make the Newton solve nearly
     translation-degenerate.  Truncation keeps the estimate a rigorous
@@ -169,7 +171,7 @@ def exterior_quotient(profile: MetricProfile, r_in: float, *,
     full one).
 
     The estimate is stabilized when (a) the length reached
-    ``length_cap``, (b) the value is within ``tol_out`` (relative) of
+    ``LENGTH_CAP``, (b) the value is within ``tol_out`` (relative) of
     the exact limit, value <= Lambda(n) (1 + tol_out), or (c) the
     length has converged in r: the outer half [(r_in + r_max)/2, r_max]
     contributes at most tol_out L_total (finite int dr/f, as on
@@ -179,15 +181,15 @@ def exterior_quotient(profile: MetricProfile, r_in: float, *,
 
     n, r_max = profile.n, profile.r_max
     total = cylinder_length(profile, r_in, r_max)
-    length = min(total, length_cap)
+    length = min(total, LENGTH_CAP)
     s_hi = _CYL_OFFSET + length
-    N = max(64, int(math.ceil(nodes_per_unit * length)))
+    N = max(64, int(math.ceil(_EXTERIOR_NODES_PER_UNIT * length)))
     grid = RadialGrid(j=s_hi, N=N, r_lo=_CYL_OFFSET)
     value = continue_to_critical(_cylinder_profile(n, s_hi), grid,
-                                 tol=solver_tol,
+                                 tol=_EXTERIOR_SOLVER_TOL,
                                  critical_polish=False).y_best
     stabilized = (
-        total >= length_cap
+        total >= LENGTH_CAP
         or value <= lambda_constant(n) * (1.0 + tol_out)
         or cylinder_length(profile, 0.5 * (r_in + r_max), r_max)
         <= tol_out * total)
@@ -212,29 +214,35 @@ class ScalarLowerBound(NamedTuple):
 # out R_out lies (the curvature features of the profile class sit at
 # r = O(1)).
 _UNIFORM_SPAN = 100.0
+_LOWER_BOUND_SAMPLES = 16384
 
 
-def _lower_bound_samples(R_out: float, samples: int) -> np.ndarray:
+def _lower_bound_samples(R_out: float) -> np.ndarray:
     """Sample radii on [0, R_out]: uniform when R_out <= _UNIFORM_SPAN,
     else half uniform on [0, _UNIFORM_SPAN) and half geometric on
     [_UNIFORM_SPAN, R_out]."""
     if R_out <= _UNIFORM_SPAN:
-        return np.linspace(0.0, R_out, samples)
-    half = samples // 2
+        return np.linspace(0.0, R_out, _LOWER_BOUND_SAMPLES)
+    half = _LOWER_BOUND_SAMPLES // 2
     return np.concatenate([
         np.linspace(0.0, _UNIFORM_SPAN, half, endpoint=False),
-        np.geomspace(_UNIFORM_SPAN, R_out, samples - half)])
+        np.geomspace(_UNIFORM_SPAN, R_out, _LOWER_BOUND_SAMPLES - half)])
 
 
-def scalar_lower_bound(profile: MetricProfile, R_out: float | None = None,
-                       samples: int = 16384) -> ScalarLowerBound:
+def scalar_lower_bound(profile: MetricProfile,
+                       R_out: float | None = None) -> ScalarLowerBound:
     """Lower bound of Lemma-type: nonpositive, 0 when R_g >= 0."""
     if R_out is None:
         R_out = profile.r_max
     profile.check_radius(R_out)
     n = profile.n
-    r = _lower_bound_samples(R_out, samples)
-    curvature = np.asarray(profile.scalar_curvature(r), dtype=float)
+    r = _lower_bound_samples(R_out)
+    try:
+        curvature = np.asarray(profile.scalar_curvature(r), dtype=float)
+    except DomainError:
+        # Not finite where the profile overflows float64 (sinh r beyond
+        # r ~ 355): the volume density is unbounded there, no bound holds.
+        return ScalarLowerBound(value=None, divergent=True)
     negative = np.maximum(-curvature, 0.0)
     fvals = np.asarray(profile.f(r), dtype=float)
     integrand = negative ** (n / 2.0) * fvals ** (n - 1)
@@ -242,7 +250,7 @@ def scalar_lower_bound(profile: MetricProfile, R_out: float | None = None,
     if total == 0.0:
         return ScalarLowerBound(value=0.0, divergent=False)
     # Tail monitor: the outer decade must decay and contribute little.
-    k_tail = int(0.9 * samples)
+    k_tail = int(0.9 * _LOWER_BOUND_SAMPLES)
     tail = area_weight(n) * float(np.trapezoid(integrand[k_tail:], r[k_tail:]))
     growing = integrand[-1] >= integrand[k_tail] and integrand[-1] > 0
     if growing or tail > 0.05 * total:

@@ -14,8 +14,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .constants import area_weight
 from .errors import DomainError, ProfileError
@@ -64,9 +62,6 @@ class MetricProfile:
 
     def scalar_curvature(self, r):
         return scalar_curvature(self, r)
-
-    def ball_volume(self, r):
-        return ball_volume(self, r)
 
     def check_radius(self, r):
         r = np.asarray(r, dtype=float)
@@ -167,6 +162,8 @@ def power_bump(n: int, a: float, b: float, r_max: float = 40.0) -> MetricProfile
 def from_table(n: int, r: np.ndarray, f_values: np.ndarray,
                r_max: float | None = None) -> MetricProfile:
     """Profile from sampled (r, f) pairs; cubic-spline interpolated."""
+    from scipy.interpolate import CubicSpline
+
     r = np.asarray(r, dtype=float)
     f_values = np.asarray(f_values, dtype=float)
     if r.ndim != 1 or r.shape != f_values.shape or r.size < 8:
@@ -249,18 +246,6 @@ def scalar_curvature(profile: MetricProfile, r):
     if not np.all(np.isfinite(out)):
         raise DomainError("scalar curvature not finite on requested radii")
     return float(out[0]) if scalar_input else out
-
-
-def ball_volume(profile: MetricProfile, r: float) -> float:
-    """Volume of the geodesic ball B_r(O): omega_{n-1} int_0^r f^{n-1} dt."""
-    profile.check_radius(r)
-    r = float(r)
-    if r == 0.0:
-        return 0.0
-    omega = area_weight(profile.n)
-    value, _ = quad(lambda t: float(profile.f(t)) ** (profile.n - 1), 0.0, r,
-                    limit=200)
-    return omega * value
 
 
 class VolumeGrowth(NamedTuple):

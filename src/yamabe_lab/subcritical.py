@@ -22,6 +22,13 @@ from .manifold import MetricProfile
 from .radial import (RadialField, RadialGrid, lp_norm, midpoint_weights,
                      node_weights, yamabe_energy)
 
+_EIGEN_MAX_ITERS = 200  # inverse iterations of first_eigenpair
+_EIGEN_TOL = 1e-13  # its relative eigenvalue tolerance
+_PG_ITERS = 400  # Barzilai-Borwein steps of the projected-gradient relocation
+_MAX_HALVINGS = 20  # step halvings per Newton line search
+_CONCENTRATION_CAP = 1e3  # running max over initial max that concentrates
+_MIN_HALFWIDTH_NODES = 4  # half-max width, in cells, of a grid-scale spike
+
 
 # -- discrete operator -------------------------------------------------------
 
@@ -101,33 +108,29 @@ class DiscreteOperator:
 # -- first Dirichlet eigenpair (inverse iteration) ---------------------------
 
 
-def first_eigenpair(profile: MetricProfile, grid: RadialGrid,
-                    max_iters: int = 200, tol: float = 1e-13,
-                    _op: DiscreteOperator | None = None):
+def first_eigenpair(op: DiscreteOperator):
     """Lowest eigenpair of -Delta + c(n) R_g with dirichlet boundary.
 
     Shifted inverse iteration on the generalized problem A u = lam W u.
     Returns (lam, RadialField) with the eigenfield positive and
-    L^2-normalized.  ``_op`` passes in the operator of (profile, grid)
-    when the caller already built it.
+    L^2-normalized.
     """
-    op = _op if _op is not None else DiscreteOperator(profile, grid)
-    c = conformal_coupling(profile.n)
+    c = conformal_coupling(op.profile.n)
     sigma = min(0.0, c * float(np.min(op.curvature))) - 1.0
     w = op.weights()
     ab = op.banded(shift_diag=-sigma * w)
     u = np.ones(op.n_unknowns)
     lam_old = np.inf
-    for _ in range(max_iters):
+    for _ in range(_EIGEN_MAX_ITERS):
         u = solve_banded((1, 1), ab, w * u)
         u /= float(np.sqrt(u @ (w * u))) or 1.0
         lam = op.energy(u) / float(u @ (w * u))
-        if abs(lam - lam_old) < tol * max(1.0, abs(lam)):
+        if abs(lam - lam_old) < _EIGEN_TOL * max(1.0, abs(lam)):
             break
         lam_old = lam
     u = np.abs(u)
-    field = RadialField(grid, op.full_values(u), boundary="dirichlet")
-    norm = lp_norm(field, 2.0, profile)
+    field = RadialField(op.grid, op.full_values(u), boundary="dirichlet")
+    norm = lp_norm(field, 2.0, op.profile)
     return lam, field.with_values(field.values / norm)
 
 
@@ -150,12 +153,12 @@ def _odd_power(u, q):
     return np.sign(u) * np.abs(u) ** q
 
 
-def _projected_gradient(op: DiscreteOperator, s: float, u0, iters: int = 400):
+def _projected_gradient(op: DiscreteOperator, s: float, u0):
     """Constrained descent warm-up: minimize u^T A u on the L^s sphere.
 
     Barzilai-Borwein steps with projection onto the nonnegative cone
     (admissible: the ground state is nonnegative).  Used to relocate a
-    stalled Newton iterate, and by tests as an independent oracle.
+    stalled Newton iterate.
     """
     w = op.weights()
 
@@ -169,7 +172,7 @@ def _projected_gradient(op: DiscreteOperator, s: float, u0, iters: int = 400):
                                last_iterate=op.full_values(np.zeros_like(u0)))
     step = 1.0 / max(1.0, float(np.max(np.abs(op.diag))))
     u_old = grad_old = None
-    for _ in range(iters):
+    for _ in range(_PG_ITERS):
         au = op.apply(u)
         lam = float(u @ au)
         grad = au - lam * w * u ** (s - 1.0)
@@ -186,26 +189,21 @@ def _projected_gradient(op: DiscreteOperator, s: float, u0, iters: int = 400):
     return u
 
 
-def solve_subcritical(profile: MetricProfile, grid: RadialGrid, s: float,
+def solve_subcritical(op: DiscreteOperator, s: float,
                       init: RadialField | None = None, tol: float = 1e-10,
-                      max_iters: int = 60, max_halvings: int = 20,
-                      _allow_critical: bool = False,
-                      _op: DiscreteOperator | None = None
-                      ) -> SubcriticalSolution:
+                      max_iters: int = 60) -> SubcriticalSolution:
     """Newton solve of A u = lam W |u|^{s-2} u with sum W |u|^s = 1.
 
-    ``_op`` passes in the operator of (profile, grid) when the caller
-    already built it.
+    Accepts 2 < s <= p; s = p is the critical polish of a continuation.
     """
-    p = critical_exponent(profile.n)
-    if not (2.0 < s < p or (_allow_critical and s == p)):
-        raise DomainError(f"need 2 < s < p = {p:.4f}, got s = {s}")
-    op = _op if _op is not None else DiscreteOperator(profile, grid)
+    p = critical_exponent(op.profile.n)
+    if not 2.0 < s <= p:
+        raise DomainError(f"need 2 < s <= p = {p:.4f}, got s = {s}")
     w = op.weights()
 
     if init is None:
-        _, init = first_eigenpair(profile, grid, _op=op)
-    if init.grid != grid:
+        _, init = first_eigenpair(op)
+    if init.grid != op.grid:
         raise DomainError("init field lives on a different grid")
     u = init.values[op.lo:op.hi].copy()
     if np.max(u) <= 0:
@@ -251,11 +249,11 @@ def solve_subcritical(profile: MetricProfile, grid: RadialGrid, s: float,
             du = -x_res - dlam * x_lam
 
             step = 1.0
-            for _ in range(max_halvings + 1):
+            for _ in range(_MAX_HALVINGS + 1):
                 u_try = normalize(u + step * du)
                 lam_try, res_try = rayleigh_and_residual(u_try)
                 norm_try = op.strong_norm(res_try)
-                if norm_try < res_norm or step < 2.0**-max_halvings:
+                if norm_try < res_norm or step < 2.0**-_MAX_HALVINGS:
                     break
                 step /= 2.0
             if norm_try >= res_norm and res_norm <= 1e3 * tol:
@@ -292,7 +290,7 @@ def solve_subcritical(profile: MetricProfile, grid: RadialGrid, s: float,
             raise
         u, lam, res_norm, iterations = run_restarts(
             _projected_gradient(op, s, start))
-    field = RadialField(grid, op.full_values(np.maximum(u, 0.0)),
+    field = RadialField(op.grid, op.full_values(np.maximum(u, 0.0)),
                         boundary="dirichlet")
     return SubcriticalSolution(field=field, lam=lam, s=s,
                                residual=res_norm, iterations=iterations)
@@ -337,14 +335,12 @@ class ContinuationResult:
 
     schedule: list
     lam_values: list
-    solutions: list = dc_field(repr=False)
     y_extrapolated: float = np.nan
     q_p_witness: float = np.nan
     y_critical: float | None = None
     field: RadialField | None = dc_field(repr=False, default=None)
     concentration: bool = False
     concentration_reason: str = ""
-    max_values: list = dc_field(default_factory=list)
     critical_residual: float | None = None
 
     @property
@@ -374,17 +370,17 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
                          eps_s: float = 1e-3, s_start: float = 2.5,
                          count: int = 16, tol: float = 1e-10,
                          max_iters: int = 60,
-                         concentration_cap: float = 1e3,
-                         min_halfwidth_nodes: int = 4,
                          critical_polish: bool = True) -> ContinuationResult:
     """Warm-started solves along the schedule, then a critical polish.
 
-    Concentration is declared when the running maximum exceeds
-    ``concentration_cap`` times the initial maximum, or when the minimizer
-    narrows to a grid-scale spike (half-max width below
-    ``min_halfwidth_nodes`` grid cells) that the discretization can no
-    longer represent.  On concentration the partial results are returned
-    with the flag set; this is the expected exit on flat balls.
+    Builds the one DiscreteOperator of (profile, grid) that the
+    eigenpair, every schedule step and the polish share.  Concentration
+    is declared when the running maximum exceeds ``_CONCENTRATION_CAP``
+    times the initial maximum, or when the minimizer narrows to a
+    grid-scale spike (half-max width below ``_MIN_HALFWIDTH_NODES`` grid
+    cells) that the discretization can no longer represent.  On
+    concentration the partial results are returned with the flag set;
+    this is the expected exit on flat balls.
     """
     p = critical_exponent(profile.n)
     if schedule is None:
@@ -394,38 +390,39 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
         raise DomainError("schedule must increase and stay below p")
 
     op = DiscreteOperator(profile, grid)
-    _, init = first_eigenpair(profile, grid, _op=op)
+    _, init = first_eigenpair(op)
     initial_max = float(np.max(init.values)) / lp_norm(init, schedule[0],
                                                        profile)
-    solutions, lam_values, max_values = [], [], []
+    cap = _CONCENTRATION_CAP * initial_max
+    spike_width = _MIN_HALFWIDTH_NODES * grid.h
+    lam_values = []
     concentration, reason = False, ""
     current = init
     for s in schedule:
         try:
-            sol = solve_subcritical(profile, grid, s, init=current,
-                                    tol=tol, max_iters=max_iters, _op=op)
+            sol = solve_subcritical(op, s, init=current, tol=tol,
+                                    max_iters=max_iters)
         except ConvergenceError as exc:
             concentration = True
             reason = f"solver failure at s = {s:.6f}: {exc}"
             break
-        solutions.append(sol)
+        current = sol.field
         lam_values.append(sol.lam)
-        peak = float(np.max(sol.field.values))
-        max_values.append(peak)
-        if peak > concentration_cap * initial_max:
+        peak = float(np.max(current.values))
+        if peak > cap:
             concentration, reason = True, (
                 f"max u = {peak:.3g} exceeded cap x initial max at s = {s:.6f}")
             break
-        if _half_max_width(sol.field) < min_halfwidth_nodes * grid.h:
+        if _half_max_width(current) < spike_width:
             concentration, reason = True, (
                 f"minimizer narrowed to a grid-scale spike at s = {s:.6f}")
             break
-        current = sol.field
+    solved = schedule[:len(lam_values)]
 
     # Extrapolation is only meaningful when the schedule got close to p;
     # a low-s lambda is a gross underestimate of Y, never a stand-in.
-    if len(lam_values) >= 3 and p - solutions[-1].s <= 0.2 * (p - 2.0):
-        gaps = p - np.asarray([sol.s for sol in solutions[-3:]])
+    if len(lam_values) >= 3 and p - solved[-1] <= 0.2 * (p - 2.0):
+        gaps = p - np.asarray(solved[-3:])
         coeffs = np.polyfit(gaps, lam_values[-3:], 1)
         y_extrapolated = float(coeffs[1])
     else:
@@ -435,19 +432,16 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
     final_field = None
     y_critical = None
     critical_residual = None
-    if solutions:
-        last = solutions[-1].field
-        norm_p = lp_norm(last, p, profile)
-        q_p_witness = yamabe_energy(last, profile) / norm_p ** 2
-        final_field = last.with_values(last.values / norm_p)
-    if solutions and not concentration and critical_polish:
+    if lam_values:  # current is the last solved field
+        norm_p = lp_norm(current, p, profile)
+        q_p_witness = yamabe_energy(current, profile) / norm_p ** 2
+        final_field = current.with_values(current.values / norm_p)
+    if lam_values and not concentration and critical_polish:
         try:
-            crit = solve_subcritical(profile, grid, p, init=solutions[-1].field,
-                                     tol=tol, max_iters=max_iters,
-                                     _allow_critical=True, _op=op)
+            crit = solve_subcritical(op, p, init=current, tol=tol,
+                                     max_iters=max_iters)
             peak = float(np.max(crit.field.values))
-            if peak > concentration_cap * initial_max or \
-                    _half_max_width(crit.field) < min_halfwidth_nodes * grid.h:
+            if peak > cap or _half_max_width(crit.field) < spike_width:
                 concentration, reason = True, "critical polish concentrated"
             else:
                 y_critical = crit.lam
@@ -457,15 +451,13 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
             concentration, reason = True, f"critical polish failed: {exc}"
 
     return ContinuationResult(
-        schedule=[float(s) for s in schedule[:len(lam_values)]],
+        schedule=[float(s) for s in solved],
         lam_values=[float(v) for v in lam_values],
-        solutions=solutions,
         y_extrapolated=y_extrapolated,
         q_p_witness=float(q_p_witness),
         y_critical=y_critical,
         field=final_field,
         concentration=concentration,
         concentration_reason=reason,
-        max_values=[float(m) for m in max_values],
         critical_residual=critical_residual,
     )

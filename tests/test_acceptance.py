@@ -30,7 +30,8 @@ from yamabe_lab.functional import (BubbleSpec, bubble_quotient,
                                    scalar_lower_bound)
 from yamabe_lab.radial import (RadialField, RadialGrid, lp_norm, node_weights,
                                yamabe_energy)
-from yamabe_lab.subcritical import first_eigenpair, solve_subcritical
+from yamabe_lab.subcritical import (DiscreteOperator, first_eigenpair,
+                                    solve_subcritical)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 LAMBDA3 = lambda_constant(3)
@@ -212,7 +213,7 @@ def test_criterion_04_solver_contract_with_pg_oracle():
         profile = families[k % 4]()
         grid = RadialGrid(j=float(rng.uniform(1.0, 3.0)), N=48)
         s = float(rng.uniform(2.3, 4.5))
-        sol = solve_subcritical(profile, grid, s)
+        sol = solve_subcritical(DiscreteOperator(profile, grid), s)
         ok = ok and sol.residual <= 1e-8
         ok = ok and abs(lp_norm(sol.field, s, profile) - 1.0) <= 1e-10
         ok = ok and bool(np.all(sol.field.values >= 0.0)) \
@@ -227,9 +228,9 @@ def test_criterion_04_solver_contract_with_pg_oracle():
 
 def test_criterion_05_eigenvalue_limit():
     profile = manifold.euclidean(3, r_max=10.0)
-    grid = RadialGrid(j=1.0, N=512)
-    lam2, _ = first_eigenpair(profile, grid)
-    lam_s = solve_subcritical(profile, grid, 2.01).lam
+    op = DiscreteOperator(profile, RadialGrid(j=1.0, N=512))
+    lam2, _ = first_eigenpair(op)
+    lam_s = solve_subcritical(op, 2.01).lam
     rel2 = abs(lam2 - math.pi**2) / math.pi**2
     rel_s = abs(lam_s - math.pi**2) / math.pi**2
     ok = rel2 <= 0.01 and rel_s <= 0.01

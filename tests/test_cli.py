@@ -90,6 +90,21 @@ def test_constants_hyperbolic_exterior_above_aubin_inconclusive(configs_dir,
     assert body["reason"] == "exterior_above_aubin"
 
 
+def test_constants_hyperbolic_default_r_max(tmp_path, capsys):
+    # With the default r_max = 1e8 the conformal length int_2^1e8 dr/sinh
+    # = 0.27 spans eight decades in r; the report is the inconclusive
+    # verdict, not a stage error.
+    config = tmp_path / "hyperbolic.json"
+    config.write_text(json.dumps({"profile": {"name": "hyperbolic"}}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = _run(capsys, "constants", "--config", str(config))
+    assert code == 0
+    body = json.loads(out)["report"]
+    assert all(row["r_out"] == 1e8 for row in body["exterior"])
+    assert body["chain"]["scalar_bound_divergent"]
+    assert body["reason"] == "exterior_above_aubin"
+
+
 def test_exhaust_report_contents(exhaust_out):
     report = json.loads((exhaust_out / "exhaust.json").read_text())
     body = report["report"]

@@ -142,6 +142,15 @@ def test_cylinder_length_hyperbolic_finite_total():
     assert s2 - s1 < 1e-6
 
 
+def test_cylinder_length_hyperbolic_many_decades():
+    # [DERIVED] int dr/sinh = ln tanh(r/2).  Over [2, 1e8] the mass sits
+    # in the first decade; a quadrature in r misses it and returns ~0.
+    with np.errstate(over="ignore"):
+        length = cylinder_length(manifold.hyperbolic(3, r_max=1e8), 2.0, 1e8)
+    exact = math.log(math.tanh(0.5e8) / math.tanh(1.0))
+    assert length == pytest.approx(exact, rel=1e-10)
+
+
 def test_flat_exterior_quotient_near_lambda():
     # The flat exterior has Yamabe constant Lambda (scaling moves any
     # test function into the exterior); the radial estimate at the
@@ -195,6 +204,14 @@ def test_scalar_lower_bound_nonnegative_curvature_zero():
 
 def test_scalar_lower_bound_hyperbolic_divergent():
     low = scalar_lower_bound(manifold.hyperbolic(3, 30.0))
+    assert low.divergent and low.value is None
+
+
+def test_scalar_lower_bound_divergent_where_profile_overflows():
+    # sinh r overflows far out, so the curvature formula is not finite
+    # there; the bound is reported divergent rather than raising.
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = scalar_lower_bound(manifold.hyperbolic(3, 1e8))
     assert low.divergent and low.value is None
 
 

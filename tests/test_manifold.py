@@ -1,4 +1,4 @@
-"""Metric profiles: validation, curvature, volumes, growth exponents."""
+"""Metric profiles: validation, curvature, volume growth exponents."""
 
 import math
 import warnings
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from yamabe_lab import manifold
 from yamabe_lab.errors import DomainError, ProfileError
@@ -124,26 +123,6 @@ def test_bump_pole_curvature_series(a, b):
     # R(0) = -6 a n (n-1) for the bump family (c3 = a).
     prof = manifold.power_bump(3, a=a, b=b, r_max=10.0)
     assert prof.scalar_curvature(0.0) == pytest.approx(-36.0 * a, abs=1e-9)
-
-
-# -- volumes -----------------------------------------------------------------
-
-
-def test_flat_ball_volume_closed_form():
-    prof = manifold.euclidean(3, r_max=10.0)
-    assert prof.ball_volume(2.0) == pytest.approx(4.0 / 3.0 * math.pi * 8.0,
-                                                  rel=1e-10)
-
-
-def test_hyperbolic_ball_volume_oracle():
-    # Independent quadrature of omega_2 sinh^2.
-    prof = manifold.hyperbolic(3, r_max=10.0)
-    oracle, _ = quad(lambda t: 4 * math.pi * math.sinh(t) ** 2, 0.0, 3.0)
-    assert prof.ball_volume(3.0) == pytest.approx(oracle, rel=1e-9)
-
-
-def test_ball_volume_zero_radius():
-    assert manifold.euclidean(3).ball_volume(0.0) == 0.0
 
 
 # -- volume growth -----------------------------------------------------------

@@ -63,11 +63,12 @@ def test_annulus_dirichlet_needs_both_ends():
 
 
 def test_integrate_constant_is_ball_volume():
-    # [DERIVED] int 1 dV = |B_r|; trapezoid on f^{n-1} vs adaptive quad.
+    # [DERIVED] int 1 dV = |B_r|; on H^3, |B_2| = 4 pi int_0^2 sinh^2
+    # = pi (sinh 4 - 4).
     prof = manifold.hyperbolic(3, r_max=10.0)
     grid = RadialGrid(j=2.0, N=2048)
     vol = integrate(np.ones(grid.N + 1), grid, prof)
-    assert vol == pytest.approx(prof.ball_volume(2.0), rel=1e-6)
+    assert vol == pytest.approx(math.pi * (math.sinh(4.0) - 4.0), rel=1e-6)
 
 
 def test_integrate_polynomial_flat_oracle():

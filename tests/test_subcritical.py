@@ -11,9 +11,9 @@ from yamabe_lab.constants import conformal_coupling, critical_exponent
 from yamabe_lab.errors import ConvergenceError, DomainError
 from yamabe_lab.radial import (RadialField, RadialGrid, lp_norm,
                                midpoint_weights, node_weights, yamabe_energy)
-from yamabe_lab.subcritical import (continue_to_critical, default_schedule,
-                                    el_residual, first_eigenpair,
-                                    solve_subcritical)
+from yamabe_lab.subcritical import (DiscreteOperator, continue_to_critical,
+                                    default_schedule, el_residual,
+                                    first_eigenpair, solve_subcritical)
 
 
 # -- first eigenpair ---------------------------------------------------------
@@ -23,7 +23,7 @@ def test_flat_ball_dirichlet_eigenvalue():
     # [DERIVED] lowest Dirichlet eigenvalue of -Delta on the unit ball of
     # R^3 is pi^2 (eigenfunction sin(pi r)/r).
     prof = manifold.euclidean(3, r_max=10.0)
-    lam, u = first_eigenpair(prof, RadialGrid(j=1.0, N=512))
+    lam, u = first_eigenpair(DiscreteOperator(prof, RadialGrid(j=1.0, N=512)))
     assert lam == pytest.approx(math.pi**2, rel=1e-5)
     oracle = np.sinc(u.grid.nodes)  # sin(pi r)/(pi r), same shape
     oracle[-1] = 0.0
@@ -33,7 +33,7 @@ def test_flat_ball_dirichlet_eigenvalue():
 
 def test_eigenfield_positive_and_normalized():
     prof = manifold.hyperbolic(3, r_max=10.0)
-    lam, u = first_eigenpair(prof, RadialGrid(j=2.0, N=256))
+    lam, u = first_eigenpair(DiscreteOperator(prof, RadialGrid(j=2.0, N=256)))
     assert np.all(u.values >= 0.0)
     assert lp_norm(u, 2.0, prof) == pytest.approx(1.0, rel=1e-12)
     # [DERIVED] sin(k r)/sinh(r) solves -Delta u = (k^2 + 1) u on H^3, so
@@ -80,7 +80,7 @@ def test_solver_contract_randomized(k):
     # independently minimized quotient to 1e-4.
     rng = np.random.default_rng(1000 + k)
     prof, grid, s = _random_case(rng, k)
-    sol = solve_subcritical(prof, grid, s)
+    sol = solve_subcritical(DiscreteOperator(prof, grid), s)
     assert sol.residual <= 1e-10
     assert np.all(sol.field.values >= 0.0)
     assert sol.field.values[-1] == 0.0
@@ -96,11 +96,11 @@ def test_solver_contract_randomized(k):
 
 def test_solver_rejects_bad_exponent():
     prof = manifold.euclidean(3, r_max=10.0)
-    grid = RadialGrid(j=1.0, N=64)
+    op = DiscreteOperator(prof, RadialGrid(j=1.0, N=64))
     with pytest.raises(DomainError):
-        solve_subcritical(prof, grid, 2.0)
+        solve_subcritical(op, 2.0)
     with pytest.raises(DomainError):
-        solve_subcritical(prof, grid, 6.5)
+        solve_subcritical(op, 6.5)
 
 
 def test_solver_rejects_foreign_init():
@@ -109,14 +109,14 @@ def test_solver_rejects_foreign_init():
     other = RadialGrid(j=1.0, N=128)
     init = RadialField(other, np.zeros(129), boundary="dirichlet")
     with pytest.raises(DomainError):
-        solve_subcritical(prof, grid, 3.0, init=init)
+        solve_subcritical(DiscreteOperator(prof, grid), 3.0, init=init)
 
 
 def test_lambda_s_continuity_at_two():
     # lambda_s -> first eigenvalue as s -> 2 on the unit flat ball.
     prof = manifold.euclidean(3, r_max=10.0)
     grid = RadialGrid(j=1.0, N=512)
-    sol = solve_subcritical(prof, grid, 2.01)
+    sol = solve_subcritical(DiscreteOperator(prof, grid), 2.01)
     assert sol.lam == pytest.approx(math.pi**2, rel=0.01)
 
 
@@ -124,8 +124,9 @@ def test_lambda_s_domain_monotone_fixed_s():
     # The sharp monotonicity statement: at fixed s the multiplier cannot
     # increase when the ball grows (test functions extend by zero).
     prof = manifold.euclidean(3, r_max=10.0)
-    lams = [solve_subcritical(prof, RadialGrid(j=j, N=int(64 * j)), 3.5).lam
-            for j in (1.0, 2.0, 3.0)]
+    ops = [DiscreteOperator(prof, RadialGrid(j=j, N=int(64 * j)))
+           for j in (1.0, 2.0, 3.0)]
+    lams = [solve_subcritical(op, 3.5).lam for op in ops]
     assert lams[0] >= lams[1] >= lams[2]
 
 
@@ -286,3 +287,32 @@ def test_continuation_golden_values():
     assert result.y_extrapolated == 5.616083270997345
     assert result.concentration_reason == (
         "minimizer narrowed to a grid-scale spike at s = 5.820813")
+
+
+def test_annulus_continuation_golden_values():
+    # Captured before the solver took its operator as the first argument:
+    # an annulus whose continuation reaches the critical polish.
+    result = continue_to_critical(manifold.euclidean(3, 20.0),
+                                  RadialGrid(j=3.0, N=128, r_lo=1.0))
+    assert result.lam_values == [
+        5.724828008101042, 16.29300019294253, 23.27373321634676,
+        27.476144674015565, 30.036839657892802, 31.62934106403799,
+        32.63593170957828, 33.27948804712857, 33.694131341252245,
+        33.96266240259235, 34.13715943628965, 34.2508045499554,
+        34.32492695909199, 34.373318021546076, 34.4049301547227,
+        34.425589719262206]
+    assert result.y_critical == 34.46461234883754
+    assert result.critical_residual == 3.1495707233427447e-12
+    assert not result.concentration
+
+
+def test_solver_accepts_critical_exponent():
+    # 2 < s <= p: the critical polish solves at s = p itself.
+    prof = manifold.euclidean(3, r_max=20.0)
+    op = DiscreteOperator(prof, RadialGrid(j=3.0, N=128, r_lo=1.0))
+    p = critical_exponent(3)
+    sol = solve_subcritical(op, p)
+    assert sol.s == p
+    assert sol.residual <= 1e-10
+    with pytest.raises(DomainError):
+        solve_subcritical(op, p + 1e-9)
