@@ -16,8 +16,9 @@ Strategy
      (a negative value would certify Y < 0 < Y_inf immediately), and
    - the single-ball continuation estimate of Y on B_8.
 2. Full evaluation of the most promising candidates (lowest Y screen):
-   three-ball exhaustion for Y_est, cylinder-gauge exterior quotient for
-   Y_inf_est, concentration verdict, critical residual.
+   three-ball exhaustion for Y_est, the exterior quotient (first integral
+   on the conformal cylinder) for Y_inf_est, concentration verdict,
+   critical residual.
 
 Caveat recorded in the repository notes: every profile in this radial
 class (round-sphere cross-section) is globally conformal to a domain of

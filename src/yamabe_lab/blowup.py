@@ -36,23 +36,6 @@ def standard_bubble(n: int, Y: float, x) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def bubble_total_mass(n: int, Y: float) -> float:
-    """int_{R^n} v^p dx for the standard bubble; equals (Lambda/Y)^{n/2}...
-
-    computed here by direct quadrature plus the exact power-law tail.
-    """
-    x = np.linspace(0.0, 400.0, 400001)
-    v = standard_bubble(n, Y, x)
-    p = critical_exponent(n)
-    integrand = v**p * x ** (n - 1)
-    core = float(np.trapezoid(integrand, x))
-    # v^p x^{n-1} ~ C x^{(2-n)p + n - 1}; integrate the tail analytically.
-    expo = (2 - n) * p + n - 1
-    C = integrand[-1] / x[-1] ** expo
-    tail = -C * x[-1] ** (expo + 1) / (expo + 1)
-    return area_weight(n) * (core + tail)
-
-
 @dataclass(frozen=True)
 class RescaledField:
     """Samples of the blow-up rescaling around the field's maximum."""

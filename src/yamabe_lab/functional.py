@@ -106,7 +106,6 @@ class ExteriorEstimate:
     value: float
     r_in: float
     r_out: float
-    s: float
     stabilized: bool
     history: tuple
 
@@ -123,32 +122,80 @@ def cylinder_length(profile: MetricProfile, r_in: float, r_out: float) -> float:
         r = r_in * math.exp(x)
         return r / float(profile.f(r))
 
-    value, _ = quad(integrand, 0.0, math.log(r_out / r_in), limit=200)
+    # f may overflow to inf far out (sinh r past r ~ 710), where r/f -> 0
+    # is the right value.
+    with np.errstate(over="ignore"):
+        value, _ = quad(integrand, 0.0, math.log(r_out / r_in), limit=200)
     return float(value)
 
 
-# Cylinder-gauge pseudo-profile: f == 1 (round unit cross-section) on the
-# working range s >= _CYL_OFFSET; the linear stub near 0 only satisfies
-# the profile axioms and is never sampled.
-_CYL_OFFSET = 2.0
+def radial_cylinder_quotient(n: int, length: float) -> float:
+    """Minimal radial critical quotient on the round cylinder segment
+    [0, length] x S^{n-1}, from the first integral of its Euler-Lagrange
+    equation.
+
+    Scaled to -u'' + a u = u^{p-1} with a = ((n-2)/2)^2, the minimizer
+    obeys u'^2 = G(u) = C + a u^2 - (2/p) u^p, so that
+    length = 2 int_0^m du/sqrt G and
+    Q = (|S^{n-1}| 2 int_0^m u^p du/sqrt G)^{2/n}, where the peak m
+    solves G(m) = 0.  The unknown is ln(m - m_0), with m_0 =
+    (a p/2)^{1/(p-2)} the peak of the infinite cylinder's bubble; C then
+    follows from m through expm1 without cancellation.  The quadrature
+    splits at u* = a^{1/(p-2)}, the maximum of G: u = sqrt(C/a) sinh z on
+    [0, u*] takes the near-logarithmic growth of the length as C -> 0,
+    and u = m - (m - u*) y^2 on [u*, m] removes the 1/sqrt endpoint.
+    """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    p = critical_exponent(n)
+    a = ((n - 2) / 2.0) ** 2
+    u_star = a ** (1.0 / (p - 2.0))
+    m_0 = (0.5 * a * p) ** (1.0 / (p - 2.0))
+
+    def integral(log_offset: float, k: float) -> float:
+        """2 int_0^m u^k du / sqrt G for the peak m = m_0 + e^log_offset."""
+        offset = math.exp(log_offset)
+        m = m_0 + offset
+        c = a * m * m * math.expm1((p - 2.0) * math.log1p(offset / m_0))
+        scale, d = math.sqrt(c / a), m - u_star
+
+        def inner(z):
+            u = scale * math.sinh(z)
+            # G = C cosh^2 z (1 - share), and share <= 2/p on [0, u*]
+            share = 2.0 / p * u ** p / (c + a * u * u)
+            return u ** k / math.sqrt(a * (1.0 - share))
+
+        def outer(y):
+            gap = d * y * y
+            u = m - gap
+            # (m^p - u^p) / (m - u), and G(u) = gap (2/p slope - a (m + u))
+            slope = -m ** p * math.expm1(p * math.log1p(-gap / m)) / gap
+            return 2.0 * math.sqrt(d) * u ** k / math.sqrt(
+                2.0 / p * slope - a * (m + u))
+
+        z_star = math.asinh(u_star / scale)
+        return 2.0 * (
+            quad(inner, 0.0, z_star, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            + quad(outer, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0])
+
+    # The length falls from infinity to 0 as the offset grows, and
+    # m - m_0 ~ exp(-sqrt(a) length) on long segments.
+    lo, hi = -math.sqrt(a) * length, 0.0
+    while integral(hi, 0.0) > length:
+        hi += 10.0
+    while integral(lo, 0.0) < length:
+        lo -= 10.0
+    log_offset = brentq(lambda x: integral(x, 0.0) - length, lo, hi,
+                        xtol=1e-14)
+    return (area_weight(n) * integral(log_offset, p)) ** (2.0 / n)
 
 
-def _cylinder_profile(n: int, s_max: float) -> MetricProfile:
-    return MetricProfile(
-        n=n, r_max=s_max, name="cylinder-gauge", params={},
-        f=lambda s: np.minimum(np.asarray(s, dtype=float), 1.0),
-        f_prime=lambda s: (np.asarray(s, dtype=float) < 1.0).astype(float),
-        f_second=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-        c3=0.0)
+LENGTH_CAP = 40.0  # longest cylinder segment the exterior value is taken on
+_TOL_OUT = 1e-3  # relative tolerance of stabilization rules (b) and (c)
 
 
-LENGTH_CAP = 25.0  # longest cylinder segment the exterior solve meshes
-_EXTERIOR_NODES_PER_UNIT = 64  # exterior grid nodes per unit length
-_EXTERIOR_SOLVER_TOL = 1e-10  # Newton tolerance of the exterior solve
-
-
-def exterior_quotient(profile: MetricProfile, r_in: float, *,
-                      tol_out: float = 1e-3) -> ExteriorEstimate:
+def exterior_quotient(profile: MetricProfile, r_in: float) -> ExteriorEstimate:
     """Estimate the Yamabe constant of the annular exterior of B_{r_in}.
 
     The critical quotient over radial fields on the annulus
@@ -156,50 +203,36 @@ def exterior_quotient(profile: MetricProfile, r_in: float, *,
     to the product cylinder segment of length L = int dr/f.  The value
     therefore depends only on n and L, and tends to Lambda(n) as L grows
     (the round cylinder is conformal to R^n minus a point).  One
-    quadrature gives L_total over [r_in, r_max]; one warm-started
-    subcritical continuation on the cylinder segment of length
-    L = min(L_total, LENGTH_CAP), with
-    max(64, ceil(_EXTERIOR_NODES_PER_UNIT L)) nodes, gives the value.
-    Minimizing in the cylinder gauge keeps the optimizer at unit scale
-    however stretched the annulus is in r.
+    quadrature gives L_total over [r_in, r_max], and
+    radial_cylinder_quotient(n, min(L_total, LENGTH_CAP)) gives the value.
 
     Segments longer than ``LENGTH_CAP`` are truncated to it: the value is
-    monotone decreasing and exponentially converged in the length by
-    then, while much longer cylinders make the Newton solve nearly
-    translation-degenerate.  Truncation keeps the estimate a rigorous
-    upper bound (Dirichlet fields on the truncated segment embed in the
-    full one).
+    monotone decreasing in the length and within 7e-9 (relative, n = 3)
+    of Lambda(n) there.  Truncation keeps the estimate a rigorous upper
+    bound (Dirichlet fields on the truncated segment embed in the full
+    one).
 
     The estimate is stabilized when (a) the length reached
-    ``LENGTH_CAP``, (b) the value is within ``tol_out`` (relative) of
-    the exact limit, value <= Lambda(n) (1 + tol_out), or (c) the
+    ``LENGTH_CAP``, (b) the value is within ``_TOL_OUT`` (relative) of
+    the exact limit, value <= Lambda(n) (1 + _TOL_OUT), or (c) the
     length has converged in r: the outer half [(r_in + r_max)/2, r_max]
-    contributes at most tol_out L_total (finite int dr/f, as on
+    contributes at most _TOL_OUT L_total (finite int dr/f, as on
     hyperbolic space).  Otherwise StabilizationError is raised.
     """
-    from .subcritical import continue_to_critical
-
     n, r_max = profile.n, profile.r_max
     total = cylinder_length(profile, r_in, r_max)
-    length = min(total, LENGTH_CAP)
-    s_hi = _CYL_OFFSET + length
-    N = max(64, int(math.ceil(_EXTERIOR_NODES_PER_UNIT * length)))
-    grid = RadialGrid(j=s_hi, N=N, r_lo=_CYL_OFFSET)
-    value = continue_to_critical(_cylinder_profile(n, s_hi), grid,
-                                 tol=_EXTERIOR_SOLVER_TOL,
-                                 critical_polish=False).y_best
+    value = radial_cylinder_quotient(n, min(total, LENGTH_CAP))
     stabilized = (
         total >= LENGTH_CAP
-        or value <= lambda_constant(n) * (1.0 + tol_out)
+        or value <= lambda_constant(n) * (1.0 + _TOL_OUT)
         or cylinder_length(profile, 0.5 * (r_in + r_max), r_max)
-        <= tol_out * total)
+        <= _TOL_OUT * total)
     if not stabilized:
         raise StabilizationError(
             f"exterior quotient did not stabilize before r_max = {r_max} "
             f"(r_in = {r_in}; L = {total:.6g}, value = {value:.6g})")
     return ExteriorEstimate(value=value, r_in=r_in, r_out=r_max,
-                            s=float(critical_exponent(n)), stabilized=True,
-                            history=((r_max, value),))
+                            stabilized=True, history=((r_max, value),))
 
 
 class ScalarLowerBound(NamedTuple):

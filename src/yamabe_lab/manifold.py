@@ -55,7 +55,10 @@ class MetricProfile:
         if abs(fp0 - 1.0) > max(tol, 10 * h):
             raise ProfileError(f"f'(0) = {fp0:.6f}, expected 1")
         r_check = np.linspace(self.r_max / 512, self.r_max, 512)
-        if np.any(self.f(r_check) <= 0):
+        # f may overflow to inf far out (sinh r past r ~ 710): still > 0.
+        with np.errstate(over="ignore"):
+            nonpositive = np.any(self.f(r_check) <= 0)
+        if nonpositive:
             raise ProfileError("f must be positive on (0, r_max]")
 
     # -- convenience wrappers ------------------------------------------------
@@ -236,11 +239,14 @@ def scalar_curvature(profile: MetricProfile, r):
     pole = r < _POLE_SERIES_RADIUS
     if np.any(~pole):
         rr = r[~pole]
-        fv = profile.f(rr)
-        fp = profile.f_prime(rr)
-        fpp = profile.f_second(rr)
-        out[~pole] = (-2.0 * (n - 1) * fpp / fv
-                      + (n - 1) * (n - 2) * (1.0 - fp**2) / fv**2)
+        # Where f overflows (sinh r past r ~ 710) the formula gives inf or
+        # nan, which the finiteness check below reports.
+        with np.errstate(over="ignore", invalid="ignore"):
+            fv = profile.f(rr)
+            fp = profile.f_prime(rr)
+            fpp = profile.f_second(rr)
+            out[~pole] = (-2.0 * (n - 1) * fpp / fv
+                          + (n - 1) * (n - 2) * (1.0 - fp**2) / fv**2)
     if np.any(pole):
         out[pole] = -6.0 * profile.c3 * n * (n - 1)
     if not np.all(np.isfinite(out)):
@@ -257,9 +263,9 @@ class VolumeGrowth(NamedTuple):
 
 
 # A log V ~ r fit beating log V ~ log r by this residual factor flags
-# exponential growth; residuals above _POLY_RESIDUAL flag non-polynomial V.
+# exponential growth; otherwise the polynomial fit and its residual are
+# reported as they are.
 _EXP_FIT_FACTOR = 0.5
-_POLY_RESIDUAL = 0.05
 
 
 def volume_growth_exponent(profile: MetricProfile, r_window,

@@ -109,34 +109,6 @@ def integrate(values, grid: RadialGrid, profile: MetricProfile) -> float:
 # -- operators and norms -----------------------------------------------------
 
 
-def laplace_beltrami(u: RadialField, profile: MetricProfile) -> RadialField:
-    """Pointwise radial Laplacian u'' + (n-1)(f'/f) u'.
-
-    Second-order centered stencils inside; at the pole the regular limit
-    n u''(0) with the symmetry ghost; one-sided (first-order u'') at other
-    ends.
-    """
-    _check_compatible(u, profile)
-    grid, n = u.grid, profile.n
-    r, v, h = grid.nodes, u.values, grid.h
-    out = np.empty_like(v)
-    fr = np.asarray(profile.f(r[1:-1]), dtype=float)
-    fpr = np.asarray(profile.f_prime(r[1:-1]), dtype=float)
-    upp = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    up = (v[2:] - v[:-2]) / (2.0 * h)
-    out[1:-1] = upp + (n - 1) * fpr / fr * up
-    if grid.is_ball:
-        out[0] = 2.0 * n * (v[1] - v[0]) / h**2
-    else:
-        coef = (n - 1) * float(profile.f_prime(r[0])) / float(profile.f(r[0]))
-        out[0] = ((v[2] - 2 * v[1] + v[0]) / h**2
-                  + coef * (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h))
-    coef = (n - 1) * float(profile.f_prime(r[-1])) / float(profile.f(r[-1]))
-    out[-1] = ((v[-1] - 2 * v[-2] + v[-3]) / h**2
-               + coef * (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h))
-    return RadialField(grid, out, boundary="free")
-
-
 def lp_norm(u: RadialField, s: float, profile: MetricProfile) -> float:
     """L^s(g) norm by trapezoid quadrature; s >= 1."""
     if s < 1:

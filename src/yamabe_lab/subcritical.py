@@ -296,23 +296,6 @@ def solve_subcritical(op: DiscreteOperator, s: float,
                                residual=res_norm, iterations=iterations)
 
 
-def el_residual(u: RadialField, profile: MetricProfile, lam: float,
-                s: float | None = None) -> float:
-    """Discrete L^2 norm of Delta u - c(n) R_g u + lam |u|^{s-2} u.
-
-    Uses the solver's weak tridiagonal operator, so a converged solve
-    reports its own Newton residual.
-    """
-    if u.boundary != "dirichlet":
-        raise DomainError("el_residual needs a dirichlet-zero field")
-    if s is None:
-        s = critical_exponent(profile.n)
-    op = DiscreteOperator(profile, u.grid)
-    vec = u.values[op.lo:op.hi]
-    res = op.apply(vec) - lam * op.weights() * _odd_power(vec, s - 1.0)
-    return op.strong_norm(res)
-
-
 # -- continuation to the critical exponent -----------------------------------
 
 
@@ -369,8 +352,7 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
                          schedule: list[float] | None = None,
                          eps_s: float = 1e-3, s_start: float = 2.5,
                          count: int = 16, tol: float = 1e-10,
-                         max_iters: int = 60,
-                         critical_polish: bool = True) -> ContinuationResult:
+                         max_iters: int = 60) -> ContinuationResult:
     """Warm-started solves along the schedule, then a critical polish.
 
     Builds the one DiscreteOperator of (profile, grid) that the
@@ -436,7 +418,7 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
         norm_p = lp_norm(current, p, profile)
         q_p_witness = yamabe_energy(current, profile) / norm_p ** 2
         final_field = current.with_values(current.values / norm_p)
-    if lam_values and not concentration and critical_polish:
+    if lam_values and not concentration:
         try:
             crit = solve_subcritical(op, p, init=current, tol=tol,
                                      max_iters=max_iters)

@@ -315,7 +315,7 @@ def test_criterion_09_existence_reproduction():
     # converges-positive verdict, K-normalized residual <= 1e-6 and
     # alpha_fitted >= alpha_predicted - 0.2.  The search is documented and
     # its report is shipped; it finds no such profile (best margin
-    # +0.25%), because every radial round-cross-section profile is
+    # -0.12%), because every radial round-cross-section profile is
     # conformally flat and Y = Y_inf = Lambda exactly.  This test states
     # the criterion as written and fails loudly; the analysis is in the
     # README section "Tests and acceptance".

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from yamabe_lab import manifold
-from yamabe_lab.blowup import (bubble_total_mass, contradiction_test,
-                               energy_identity_check, rescale,
-                               standard_bubble)
-from yamabe_lab.constants import critical_exponent
+from yamabe_lab.blowup import (contradiction_test, energy_identity_check,
+                               rescale, standard_bubble)
+from yamabe_lab.constants import area_weight, critical_exponent
 from yamabe_lab.errors import DomainError
 from yamabe_lab.functional import lambda_constant
 from yamabe_lab.radial import RadialField, RadialGrid
@@ -49,6 +48,21 @@ def test_bubble_solves_pde_second_order(n):
     r_fine = _bubble_pde_residual(n, Y, 400)
     rate = math.log2(r_coarse / r_fine)
     assert 1.7 <= rate <= 2.3
+
+
+def bubble_total_mass(n: int, Y: float) -> float:
+    """int_{R^n} v^p dx for the standard bubble, by direct quadrature plus
+    the exact power-law tail."""
+    x = np.linspace(0.0, 400.0, 400001)
+    v = standard_bubble(n, Y, x)
+    p = critical_exponent(n)
+    integrand = v**p * x ** (n - 1)
+    core = float(np.trapezoid(integrand, x))
+    # v^p x^{n-1} ~ C x^{(2-n)p + n - 1}; integrate the tail analytically.
+    expo = (2 - n) * p + n - 1
+    C = integrand[-1] / x[-1] ** expo
+    tail = -C * x[-1] ** (expo + 1) / (expo + 1)
+    return area_weight(n) * (core + tail)
 
 
 def test_bubble_total_mass_closed_form():

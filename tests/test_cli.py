@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -93,12 +94,15 @@ def test_constants_hyperbolic_exterior_above_aubin_inconclusive(configs_dir,
 def test_constants_hyperbolic_default_r_max(tmp_path, capsys):
     # With the default r_max = 1e8 the conformal length int_2^1e8 dr/sinh
     # = 0.27 spans eight decades in r; the report is the inconclusive
-    # verdict, not a stage error.
+    # verdict, not a stage error.  sinh overflows past r ~ 710, which
+    # must not surface as RuntimeWarnings.
     config = tmp_path / "hyperbolic.json"
     config.write_text(json.dumps({"profile": {"name": "hyperbolic"}}))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code, out = _run(capsys, "constants", "--config", str(config))
     assert code == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     body = json.loads(out)["report"]
     assert all(row["r_out"] == 1e8 for row in body["exterior"])
     assert body["chain"]["scalar_bound_divergent"]

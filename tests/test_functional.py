@@ -8,12 +8,16 @@ from scipy.integrate import quad
 
 from yamabe_lab import manifold
 from yamabe_lab.constants import conformal_coupling, critical_exponent
-from yamabe_lab.errors import DomainError, GridResolutionError
+from yamabe_lab.errors import (DomainError, GridResolutionError,
+                               StabilizationError)
 from yamabe_lab.functional import (BubbleSpec, QuotientReport,
                                    bubble_quotient, bubble_values,
                                    cylinder_length, exterior_quotient,
-                                   lambda_constant, scalar_lower_bound)
+                                   lambda_constant, radial_cylinder_quotient,
+                                   scalar_lower_bound)
+from yamabe_lab.manifold import MetricProfile
 from yamabe_lab.radial import RadialField, RadialGrid, lp_norm, yamabe_energy
+from yamabe_lab.subcritical import continue_to_critical
 
 
 # -- bubbles -----------------------------------------------------------------
@@ -145,10 +149,60 @@ def test_cylinder_length_hyperbolic_finite_total():
 def test_cylinder_length_hyperbolic_many_decades():
     # [DERIVED] int dr/sinh = ln tanh(r/2).  Over [2, 1e8] the mass sits
     # in the first decade; a quadrature in r misses it and returns ~0.
-    with np.errstate(over="ignore"):
-        length = cylinder_length(manifold.hyperbolic(3, r_max=1e8), 2.0, 1e8)
+    length = cylinder_length(manifold.hyperbolic(3, r_max=1e8), 2.0, 1e8)
     exact = math.log(math.tanh(0.5e8) / math.tanh(1.0))
     assert length == pytest.approx(exact, rel=1e-10)
+
+
+# Q_rad(3, L) - Lambda(3) from the first integral, tabulated in ROADMAP.md
+# ("Exterior truth").
+_EXTERIOR_EXCESS_3 = {15.0: 1.03e-2, 20.0: 8.44e-4, 25.0: 6.93e-5,
+                      30.0: 5.7e-6, 40.0: 3.8e-8}
+
+
+def test_radial_cylinder_quotient_excess_table():
+    lam = lambda_constant(3)
+    for length, excess in _EXTERIOR_EXCESS_3.items():
+        got = radial_cylinder_quotient(3, length) - lam
+        assert got == pytest.approx(excess, rel=0.01)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_radial_cylinder_quotient_decreases_to_lambda(n):
+    # Dirichlet fields on a shorter segment embed in a longer one, and the
+    # infinite cylinder is conformal to R^n minus a point.
+    lam = lambda_constant(n)
+    values = [radial_cylinder_quotient(n, length)
+              for length in (0.05, 0.2723, 5.0, 15.0, 25.0, 40.0)]
+    for shorter, longer in zip(values, values[1:]):
+        assert longer <= shorter * (1.0 + 1e-13)
+    assert min(values) >= lam * (1.0 - 1e-12)
+
+
+def _cylinder_profile(n: int, s_max: float) -> MetricProfile:
+    """Cylinder gauge: f == 1 (round unit cross-section) for s >= 1; the
+    linear stub near 0 only satisfies the profile axioms."""
+    return MetricProfile(
+        n=n, r_max=s_max, name="cylinder-gauge",
+        f=lambda s: np.minimum(np.asarray(s, dtype=float), 1.0),
+        f_prime=lambda s: (np.asarray(s, dtype=float) < 1.0).astype(float),
+        f_second=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+        c3=0.0)
+
+
+@pytest.mark.parametrize("length", [5.0, 15.0])
+def test_radial_cylinder_quotient_matches_finite_differences(length):
+    # The polished critical solve on the meshed segment [2, 2 + L] of the
+    # cylinder gauge converges to the first-integral value at second
+    # order in the mesh width (-1.1e-5 at 64 nodes per unit on L = 5).
+    exact = radial_cylinder_quotient(3, length)
+    errors = []
+    for per_unit in (64, 256):
+        grid = RadialGrid(j=2.0 + length, N=int(per_unit * length), r_lo=2.0)
+        result = continue_to_critical(_cylinder_profile(3, 2.0 + length), grid)
+        errors.append(abs(result.y_critical - exact) / exact)
+    assert errors[1] < 1e-6
+    assert 1.8 <= math.log(errors[0] / errors[1], 4.0) <= 2.2
 
 
 def test_flat_exterior_quotient_near_lambda():
@@ -166,7 +220,7 @@ def test_flat_exterior_quotient_near_lambda():
 
 def test_exterior_quotient_depends_only_on_conformal_length():
     # On the cigar both inner radii give L = int dr/tanh >= the cap, so
-    # the same cylinder problem is solved and the values agree exactly.
+    # both values are Q_rad(3, LENGTH_CAP) and agree exactly.
     prof = manifold.cigar(3, r_max=1e8)
     a = exterior_quotient(prof, 2.0)
     b = exterior_quotient(prof, 4.0)
@@ -185,12 +239,11 @@ def test_hyperbolic_exterior_stabilizes_on_finite_length():
 
 
 def test_exterior_stabilization_error_on_small_r_max():
-    # Flat [2, 6]: L = ln 3 is short, the value is far above Lambda and
-    # the outer half [4, 6] still carries a third of the length.
+    # Flat [2, 6]: L = ln 3 is short, the value (34.5) is far above Lambda
+    # and the outer half [4, 6] still carries a third of the length.
     prof = manifold.euclidean(3, r_max=6.0)
-    from yamabe_lab.errors import StabilizationError
     with pytest.raises(StabilizationError):
-        exterior_quotient(prof, 2.0, tol_out=1e-12)
+        exterior_quotient(prof, 2.0)
 
 
 # -- scalar lower bound ------------------------------------------------------
@@ -210,8 +263,7 @@ def test_scalar_lower_bound_hyperbolic_divergent():
 def test_scalar_lower_bound_divergent_where_profile_overflows():
     # sinh r overflows far out, so the curvature formula is not finite
     # there; the bound is reported divergent rather than raising.
-    with np.errstate(over="ignore", invalid="ignore"):
-        low = scalar_lower_bound(manifold.hyperbolic(3, 1e8))
+    low = scalar_lower_bound(manifold.hyperbolic(3, 1e8))
     assert low.divergent and low.value is None
 
 
