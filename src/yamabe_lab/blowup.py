@@ -110,12 +110,6 @@ class IdentityReport:
     mass_p: float
     R_ball: float
 
-    def to_dict(self):
-        return {"grad_energy": self.grad_energy, "mass_term": self.mass_term,
-                "flux": self.flux, "defect": self.defect,
-                "relative_defect": self.relative_defect,
-                "mass_p": self.mass_p, "R_ball": self.R_ball}
-
 
 def energy_identity_check(x, v, n: int, Y: float) -> IdentityReport:
     """Check int_{B_R} |grad v|^2 = Y int_{B_R} v^p + flux(R) on flat R^n.
@@ -155,12 +149,6 @@ class ContradictionReport:
     tail_mass: float
     tail_uncertainty: float
     consistent: bool
-
-    def to_dict(self):
-        return {"lhs": self.lhs, "rhs": self.rhs,
-                "total_mass": self.total_mass, "tail_mass": self.tail_mass,
-                "tail_uncertainty": self.tail_uncertainty,
-                "consistent": self.consistent}
 
 
 # Relative tolerance of the contradiction chain Lambda <= Y (int v^p)^{2/n}.

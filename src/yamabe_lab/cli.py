@@ -13,6 +13,7 @@ import argparse
 import datetime
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ def _envelope(command: str, config: RunConfig, payload: dict) -> dict:
     return {
         "command": command,
         "version": __version__,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "config_hash": config_hash(config),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "report": payload,
@@ -78,6 +79,11 @@ def _above_aubin(y_inf: float, n: int) -> bool:
     return y_inf > lambda_constant(n) * (1.0 + AUBIN_TOL)
 
 
+def _y_table(trace) -> list:
+    return [{"j": rec.j, "y": rec.y, "concentration": rec.concentration}
+            for rec in trace.records]
+
+
 def _run_trace(profile, config: RunConfig):
     from .exhaustion import run_exhaustion
 
@@ -102,8 +108,7 @@ def cmd_constants(config: RunConfig, args) -> dict:
     n = config.profile.n
     lam = lambda_constant(n)
     trace = _run_trace(profile, config)
-    y_rows = [{"j": rec.j, "y": rec.y, "concentration": rec.concentration}
-              for rec in trace.records]
+    y_rows = _y_table(trace)
     y_est = trace.largest.y
 
     exterior_rows = []
@@ -177,20 +182,18 @@ def cmd_exhaust(config: RunConfig, args) -> dict:
     manifest = save_trace(trace, out_dir)
     largest = trace.largest
     try:
-        sub = subsolution_check(trace, largest.j, profile).to_dict()
+        sub = asdict(subsolution_check(trace, largest.j, profile))
     except DomainError as exc:
         sub = {"skipped": str(exc)}
     verdict = concentration_verdict(trace, R=config.pipeline.compact_radius)
     payload = {
         "trace_file": manifest.name,
         "radii": list(trace.radii),
-        "y_table": [{"j": rec.j, "y": rec.y,
-                     "concentration": rec.concentration}
-                    for rec in trace.records],
+        "y_table": _y_table(trace),
         "final_residual": largest.critical_residual,
         "subsolution": sub,
-        "boundary_bound": boundary_bound(trace).to_dict(),
-        "verdict": verdict.to_dict(),
+        "boundary_bound": asdict(boundary_bound(trace)),
+        "verdict": asdict(verdict),
     }
     print(f"  verdict: {verdict.kind}  final residual: "
           f"{largest.critical_residual}", file=sys.stderr)
@@ -210,9 +213,7 @@ def cmd_decay(config: RunConfig, args) -> dict:
     trace = load_trace(args.trace)
     j_max = trace.radii[-1]
     growth = volume_growth_exponent(profile, (j_max / 2.0, j_max))
-    payload = {"volume_growth": {"rho": growth.rho,
-                                 "residual": growth.residual,
-                                 "exponential": growth.exponential}}
+    payload = {"volume_growth": growth._asdict()}
     if growth.exponential:
         payload["verdict"] = ("hypothesis fails: exponential volume growth "
                               "(no polynomial rho)")
@@ -232,8 +233,8 @@ def cmd_decay(config: RunConfig, args) -> dict:
         return payload
     fit = decay_fit(trace, window_frac=config.pipeline.window_frac,
                     alpha_predicted=report.alpha_predicted)
-    payload["exponents"] = report.to_dict()
-    payload["decay_fit"] = fit.to_dict()
+    payload["exponents"] = asdict(report)
+    payload["decay_fit"] = asdict(fit)
     payload["verdict"] = (
         "empirical decay consistent" if fit.passed
         else "empirical decay inconsistent with the predicted exponent")
@@ -278,10 +279,7 @@ def cmd_blowup(config: RunConfig, args) -> dict:
         raise DomainError("blowup needs --field PATH (a stored field CSV)")
     profile = profile_from_config(config)
     n = config.profile.n
-    try:
-        field = load_field_csv(args.field, boundary="dirichlet")
-    except DomainError:
-        field = load_field_csv(args.field, boundary="free")
+    field = load_field_csv(args.field)
     y_value = config.pipeline.y_value
     if y_value is None:
         y_value = lambda_constant(n)
@@ -296,13 +294,13 @@ def cmd_blowup(config: RunConfig, args) -> dict:
         "bubble_sup_difference": sup_diff,
     }
     try:
-        payload["energy_identity"] = energy_identity_check(
-            x_half, v_half, n, y_value).to_dict()
+        payload["energy_identity"] = asdict(energy_identity_check(
+            x_half, v_half, n, y_value))
     except DomainError as exc:
         payload["energy_identity"] = {"skipped": str(exc)}
     try:
-        payload["contradiction"] = contradiction_test(
-            x_half, v_half, n, y_value).to_dict()
+        payload["contradiction"] = asdict(contradiction_test(
+            x_half, v_half, n, y_value))
     except DomainError as exc:
         payload["contradiction"] = {"skipped": str(exc)}
     print(f"  sup |v - bubble| = {sup_diff:.3e}", file=sys.stderr)

@@ -68,9 +68,6 @@ class RunConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def with_overrides(self, **pipeline_overrides) -> "RunConfig":
         return replace(self, pipeline=replace(self.pipeline,
                                               **pipeline_overrides))
@@ -140,7 +137,7 @@ def load_config(path) -> RunConfig:
 
 def config_hash(config: RunConfig) -> str:
     """sha256 of the canonical (sorted, compact) JSON of the config."""
-    canonical = json.dumps(config.to_dict(), sort_keys=True,
+    canonical = json.dumps(asdict(config), sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 

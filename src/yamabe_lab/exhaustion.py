@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -55,20 +55,6 @@ class BallRecord:
     lam_schedule: tuple = ()
     s_schedule: tuple = ()
     critical_residual: float | None = None
-
-    def to_dict(self):
-        return {
-            "j": self.j, "y": self.y,
-            "y_extrapolated": self.y_extrapolated,
-            "y_critical": self.y_critical,
-            "max_value": self.max_value, "max_radius": self.max_radius,
-            "boundary_max": self.boundary_max,
-            "concentration": self.concentration,
-            "concentration_reason": self.concentration_reason,
-            "lam_schedule": list(self.lam_schedule),
-            "s_schedule": list(self.s_schedule),
-            "critical_residual": self.critical_residual,
-        }
 
 
 @dataclass(frozen=True)
@@ -163,11 +149,6 @@ class SubsolutionReport:
     s_checked: float
     lam_checked: float
 
-    def to_dict(self):
-        return {"max_violation": self.max_violation, "tol": self.tol,
-                "passed": self.passed, "worst_radius": self.worst_radius,
-                "s_checked": self.s_checked, "lam_checked": self.lam_checked}
-
 
 def subsolution_check(trace: ExhaustionTrace, j: float,
                       profile: MetricProfile) -> SubsolutionReport:
@@ -230,8 +211,6 @@ class ExponentReport:
     delta: float
     rho0: float
     alpha_predicted: float
-    alpha_fitted: float | None = None
-    fit_residual: float | None = None
 
     def __post_init__(self):
         if not 1.0 < self.beta0 < self.n / (self.n - 2):
@@ -239,14 +218,6 @@ class ExponentReport:
                 f"beta0 = {self.beta0} outside (1, n/(n-2))")
         if not 0.0 < self.delta < 1.0:
             raise InfeasibleExponentError(f"delta = {self.delta} outside (0,1)")
-
-    def to_dict(self):
-        return {"n": self.n, "y": self.y, "y_inf": self.y_inf,
-                "rho": self.rho, "beta0": self.beta0, "eps": self.eps,
-                "delta": self.delta, "rho0": self.rho0,
-                "alpha_predicted": self.alpha_predicted,
-                "alpha_fitted": self.alpha_fitted,
-                "fit_residual": self.fit_residual}
 
 
 _BETA_CAP_GUARD = 1.0 - 1e-9
@@ -306,11 +277,6 @@ class DecayFit:
     alpha_predicted: float | None = None
     passed: bool | None = None
 
-    def to_dict(self):
-        return {"alpha_fitted": self.alpha_fitted, "residual": self.residual,
-                "window": list(self.window), "n_points": self.n_points,
-                "alpha_predicted": self.alpha_predicted, "passed": self.passed}
-
 
 def fit_tail_exponent(field: RadialField, r_lo: float, r_hi: float):
     """Least-squares power-law exponent of u on [r_lo, r_hi] (negated)."""
@@ -357,10 +323,6 @@ class BoundaryBound:
     passed: bool
     floor: float
 
-    def to_dict(self):
-        return {"values": list(self.values), "ratio": self.ratio,
-                "passed": self.passed, "floor": self.floor}
-
 
 def boundary_bound(trace: ExhaustionTrace) -> BoundaryBound:
     """Boundedness proxy: boundary-layer maxima must not drift.
@@ -389,10 +351,6 @@ class Verdict:
     kind: str  # converges-positive | concentrates | escapes | inconclusive
     sup_values: tuple
     detail: str
-
-    def to_dict(self):
-        return {"kind": self.kind, "sup_values": list(self.sup_values),
-                "detail": self.detail}
 
 
 def concentration_verdict(trace: ExhaustionTrace, R: float) -> Verdict:
@@ -439,8 +397,24 @@ def concentration_verdict(trace: ExhaustionTrace, R: float) -> Verdict:
 # -- trace serialization -----------------------------------------------------
 
 
+def _fields_except(obj, name: str) -> dict:
+    """The dataclass fields of obj, all but ``name``, by name."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)
+            if f.name != name}
+
+
+def _tuples(entry: dict) -> dict:
+    """JSON lists back to the tuples the dataclasses hold."""
+    return {key: tuple(value) if isinstance(value, list) else value
+            for key, value in entry.items()}
+
+
 def save_trace(trace: ExhaustionTrace, out_dir) -> "Path":
-    """Write trace.json plus one field CSV per ball under out_dir."""
+    """Write trace.json plus one field CSV per ball under out_dir.
+
+    The manifest holds the ExhaustionTrace fields; each record entry holds
+    the BallRecord fields, with the name of its CSV in place of ``field``.
+    """
     from pathlib import Path
 
     from .radial import save_field_csv
@@ -451,14 +425,8 @@ def save_trace(trace: ExhaustionTrace, out_dir) -> "Path":
     for rec in trace.records:
         fname = f"field_j{rec.j:g}.csv"
         save_field_csv(rec.field, out / fname)
-        entry = rec.to_dict()
-        entry["field_file"] = fname
-        records.append(entry)
-    manifest = {
-        "profile_name": trace.profile_name, "n": trace.n,
-        "radii": list(trace.radii), "tol_mono": trace.tol_mono,
-        "records": records,
-    }
+        records.append(_fields_except(rec, "field") | {"field_file": fname})
+    manifest = _fields_except(trace, "records") | {"records": records}
     path = out / "trace.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return path
@@ -474,22 +442,11 @@ def load_trace(path) -> ExhaustionTrace:
     if path.is_dir():
         path = path / "trace.json"
     manifest = json.loads(path.read_text())
-    records = []
-    for entry in manifest["records"]:
-        field = load_field_csv(path.parent / entry.pop("field_file"),
-                               boundary="dirichlet")
-        records.append(BallRecord(
-            j=entry["j"], y=entry["y"],
-            y_extrapolated=entry["y_extrapolated"],
-            y_critical=entry["y_critical"], field=field,
-            max_value=entry["max_value"], max_radius=entry["max_radius"],
-            boundary_max=entry["boundary_max"],
-            concentration=entry["concentration"],
-            concentration_reason=entry["concentration_reason"],
-            lam_schedule=tuple(entry["lam_schedule"]),
-            s_schedule=tuple(entry["s_schedule"]),
-            critical_residual=entry["critical_residual"]))
-    return ExhaustionTrace(profile_name=manifest["profile_name"],
-                           n=manifest["n"], radii=tuple(manifest["radii"]),
-                           records=tuple(records),
-                           tol_mono=manifest["tol_mono"])
+    try:
+        records = [BallRecord(field=load_field_csv(
+            path.parent / entry.pop("field_file"), boundary="dirichlet"),
+            **_tuples(entry)) for entry in manifest["records"]]
+        return ExhaustionTrace(**_tuples(manifest | {"records": records}))
+    except (KeyError, TypeError) as exc:
+        raise DomainError(f"{path} does not hold the fields of a trace: "
+                          f"{exc}") from None

@@ -301,15 +301,21 @@ def solve_subcritical(op: DiscreteOperator, s: float,
 
 def default_schedule(n: int, s_start: float = 2.5, count: int = 16,
                      eps_s: float = 1e-3) -> list[float]:
-    """Geometric schedule s_k -> p (1 - eps_s), increasing."""
+    """Geometric schedule s_k -> p (1 - eps_s), increasing and below p."""
     p = critical_exponent(n)
+    if not eps_s > 0.0:
+        raise DomainError(f"eps_s must be positive, got {eps_s}")
     if not 2.0 < s_start < p * (1 - eps_s):
-        raise DomainError(f"bad schedule start {s_start}")
+        raise DomainError(f"need 2 < s_start = {s_start} < p (1 - eps_s) = "
+                          f"{p * (1 - eps_s):.6g}")
     if count < 3:
         raise DomainError("schedule needs >= 3 points")
     gap0, gap1 = p - s_start, p * eps_s
     ratio = (gap1 / gap0) ** (1.0 / (count - 1))
-    return [p - gap0 * ratio**k for k in range(count)]
+    schedule = [p - gap0 * ratio**k for k in range(count)]
+    if not schedule[-1] < p:
+        raise DomainError(f"eps_s = {eps_s} rounds the last exponent to p")
+    return schedule
 
 
 @dataclass(frozen=True)
@@ -349,7 +355,6 @@ def _half_max_width(field: RadialField) -> float:
 
 
 def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
-                         schedule: list[float] | None = None,
                          eps_s: float = 1e-3, s_start: float = 2.5,
                          count: int = 16, tol: float = 1e-10,
                          max_iters: int = 60) -> ContinuationResult:
@@ -365,11 +370,8 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
     this is the expected exit on flat balls.
     """
     p = critical_exponent(profile.n)
-    if schedule is None:
-        schedule = default_schedule(profile.n, s_start=s_start, count=count,
-                                    eps_s=eps_s)
-    if list(schedule) != sorted(schedule) or schedule[-1] >= p:
-        raise DomainError("schedule must increase and stay below p")
+    schedule = default_schedule(profile.n, s_start=s_start, count=count,
+                                eps_s=eps_s)
 
     op = DiscreteOperator(profile, grid)
     _, init = first_eigenpair(op)

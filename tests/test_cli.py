@@ -1,13 +1,20 @@
 """Command-line surface: reports, determinism, exit codes."""
 
+import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import yamabe_lab
 from yamabe_lab.cli import main
+from yamabe_lab.exhaustion import DecayFit, ExponentReport
 
 _TS = re.compile(r'"timestamp": "[^"]*"')
 
@@ -156,6 +163,31 @@ def test_decay_exterior_above_aubin_inconclusive(exhaust_out, tmp_path,
     assert body["reason"] == "exterior_above_aubin"
 
 
+def test_decay_consistent_on_short_cigar(tmp_path, capsys):
+    # Cut at r_max = 18.35 the cigar's exterior quotient sits just above
+    # the ball estimate (Y = 5.48283 < Y_inf = 5.48309), so the
+    # hypotheses hold and decay reaches the exponent fit.
+    config = tmp_path / "cigar.json"
+    config.write_text(json.dumps({
+        "profile": {"name": "cigar", "n": 3, "r_max": 18.35},
+        "pipeline": {"radii": [2.0, 4.0, 8.0], "r_in": [2.0],
+                     "compact_radius": 1.0},
+    }))
+    out = tmp_path / "exhaust"
+    code, _ = _run(capsys, "exhaust", "--config", str(config),
+                   "--out", str(out))
+    assert code == 0
+    code, text = _run(capsys, "decay", "--config", str(config),
+                      "--trace", str(out / "trace.json"))
+    assert code == 0
+    body = json.loads(text)["report"]
+    assert body["verdict"] == "empirical decay consistent"
+    assert body["exponents"]["y"] < body["exponents"]["y_inf"]
+    # the report blocks are the dataclass fields, no more and no less
+    for key, cls in (("exponents", ExponentReport), ("decay_fit", DecayFit)):
+        assert set(body[key]) == {f.name for f in dataclasses.fields(cls)}
+
+
 def test_bubble_command(flat_config, capsys):
     code, out = _run(capsys, "bubble", "--config", flat_config,
                      "--alphas", "0.2,0.1,0.05")
@@ -177,6 +209,24 @@ def test_blowup_command(flat_config, exhaust_out, capsys):
 
 
 # -- determinism (byte-identical modulo timestamp) ---------------------------
+
+
+def test_cold_bubble_imports_no_scipy(configs_dir):
+    # The cold bubble path needs numpy only; scipy alone would more than
+    # double a fresh process's wall time.  -X importtime logs every
+    # module the run imports, including the lazy ones.
+    src = str(Path(yamabe_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "yamabe_lab.cli",
+         "bubble", "--config", str(configs_dir / "flat3.json")],
+        capture_output=True, text=True, env=env, check=True)
+    imported = [line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "yamabe_lab.functional" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 
 def test_exhaust_rerun_byte_identical(flat_config, tmp_path, capsys):
@@ -241,6 +291,17 @@ def test_bad_config_value_exits_one(tmp_path, capsys, block):
     assert code == 1
     assert err.startswith("error [constants]: DomainError")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_negative_eps_s_exits_one(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"solver": {"eps_s": -0.1}}))
+    code = main(["exhaust", "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error [exhaust]: DomainError")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_empty_field_csv_exits_one(flat_config, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Exhaustion pipeline: traces, extension by zero, exponents, verdicts."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -322,18 +323,48 @@ def test_flat_verdict_concentrates(flat_trace):
 # -- serialization and normalization -----------------------------------------
 
 
+def _assert_same_fields(a, b, skip):
+    for f in dataclasses.fields(a):
+        if f.name != skip:
+            # exact, and of the same type: floats survive the JSON repr
+            # round trip, and lists come back as tuples
+            left, right = getattr(a, f.name), getattr(b, f.name)
+            assert left == right and type(left) is type(right), f.name
+
+
 def test_trace_roundtrip(tmp_path, flat_trace):
-    path = save_trace(flat_trace, tmp_path)
-    back = load_trace(path)
-    assert back.radii == flat_trace.radii
-    assert back.n == flat_trace.n
-    for a, b in zip(back.records, flat_trace.records):
-        assert a.j == b.j
-        assert a.y == b.y  # exact: repr round-trip via JSON
+    # No shipped ball reaches the critical polish, so a synthetic record
+    # carries a float y_critical and critical_residual.
+    grid = RadialGrid(j=16.0, N=64)
+    polished = BallRecord(
+        j=16.0, y=5.4781, y_extrapolated=5.4792, y_critical=5.4781,
+        field=RadialField(grid, (1.0 - grid.nodes / 16.0) ** 2,
+                          boundary="dirichlet"),
+        max_value=1.0, max_radius=0.0, boundary_max=0.01,
+        lam_schedule=(1.5, 2.5), s_schedule=(2.5, 5.9),
+        critical_residual=3.2e-11)
+    trace = dataclasses.replace(
+        flat_trace, radii=flat_trace.radii + (16.0,),
+        records=flat_trace.records + (polished,))
+    back = load_trace(save_trace(trace, tmp_path))
+    _assert_same_fields(back, trace, skip="records")
+    assert len(back.records) == len(trace.records)
+    for a, b in zip(back.records, trace.records):
+        _assert_same_fields(a, b, skip="field")
+        assert np.array_equal(a.field.grid.nodes, b.field.grid.nodes)
         assert np.array_equal(a.field.values, b.field.values)
-        assert a.lam_schedule == b.lam_schedule
+        assert a.field.boundary == b.field.boundary
     # loading by directory works too
-    assert load_trace(tmp_path).radii == flat_trace.radii
+    assert load_trace(tmp_path).radii == trace.radii
+
+
+def test_load_trace_rejects_foreign_fields(tmp_path, flat_trace):
+    path = save_trace(flat_trace, tmp_path)
+    manifest = json.loads(path.read_text())
+    manifest["records"][0]["estimator"] = "critical"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DomainError, match="fields of a trace"):
+        load_trace(path)
 
 
 def k_normalize(field: RadialField, y: float, n: int):

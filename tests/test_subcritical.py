@@ -186,14 +186,14 @@ def test_continuation_lambda_values_track_lambda():
     assert lams[-1] == pytest.approx(lambda_constant(3), rel=0.10)
 
 
-def test_continuation_rejects_bad_schedule():
-    prof = manifold.euclidean(3, r_max=10.0)
-    with pytest.raises(DomainError):
-        continue_to_critical(prof, RadialGrid(j=1.0, N=64),
-                             schedule=[3.0, 2.5])
-    with pytest.raises(DomainError):
-        continue_to_critical(prof, RadialGrid(j=1.0, N=64),
-                             schedule=[2.5, 6.0])
+@pytest.mark.parametrize("eps_s", [0.0, -0.1, 1e-300, 1.5])
+def test_default_schedule_rejects_bad_eps_s(eps_s):
+    # A negative eps_s would raise a negative gap to a fractional power,
+    # a tiny one rounds p - p eps_s to p, and a large one puts the end
+    # below s_start: all are domain errors that name eps_s, so every
+    # schedule the continuation runs increases and stays below p.
+    with pytest.raises(DomainError, match="eps_s"):
+        default_schedule(3, eps_s=eps_s)
 
 
 # -- per-grid invariants: one operator per continuation ----------------------
