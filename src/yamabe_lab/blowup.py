@@ -9,7 +9,6 @@ the boundary flux retained.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_hash, load_config, profile_from_config
-from .constants import critical_exponent
 from .errors import (ConvergenceError, DomainError, GridResolutionError,
                      InfeasibleExponentError, MonotonicityError, ProfileError,
                      StabilizationError)

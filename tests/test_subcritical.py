@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solve_banded as scipy_solve_banded
 from scipy.optimize import minimize
 
 from yamabe_lab import manifold, subcritical
 from yamabe_lab.constants import conformal_coupling, critical_exponent
-from yamabe_lab.errors import ConvergenceError, DomainError
+from yamabe_lab.errors import DomainError
 from yamabe_lab.radial import (RadialField, RadialGrid, lp_norm,
                                midpoint_weights, node_weights, yamabe_energy)
 from yamabe_lab.subcritical import (DiscreteOperator, continue_to_critical,
@@ -327,3 +328,136 @@ def test_solver_accepts_critical_exponent():
     assert sol.residual <= 1e-10
     with pytest.raises(DomainError):
         solve_subcritical(op, p + 1e-9)
+
+
+# -- tridiagonal solve -------------------------------------------------------
+
+
+@pytest.mark.parametrize("profile, grid", [
+    (manifold.euclidean(3, 10.0), RadialGrid(j=1.0, N=64)),
+    (manifold.power_bump(3, -0.5, 0.25, 40.0), RadialGrid(j=3.0, N=384)),
+    (manifold.hyperbolic(3, 10.0), RadialGrid(j=4.0, N=80, r_lo=1.5)),
+    (manifold.cigar(4, 50.0), RadialGrid(j=8.0, N=1100)),
+])
+def test_solve_banded_matches_scipy_bitwise(profile, grid):
+    # The direct dgtsv call is the routine scipy.linalg.solve_banded
+    # runs for (1, 1) bands: same bits, on the shifted operators of the
+    # Newton step and of the inverse iteration, for one and two columns.
+    op = DiscreteOperator(profile, grid)
+    rng = np.random.default_rng(grid.N)
+    w = op.weights()
+    for shift in (-3.7 * w * rng.uniform(0.5, 2.0, op.n_unknowns), 2.0 * w):
+        ab = op.banded(shift_diag=shift)
+        before = ab.copy()
+        for rhs in (rng.standard_normal(op.n_unknowns),
+                    rng.standard_normal((op.n_unknowns, 2)),
+                    np.column_stack([w, -w * rng.uniform(size=w.size)])):
+            x = subcritical.solve_banded((1, 1), ab, rhs)
+            expected = scipy_solve_banded((1, 1), ab, rhs)
+            assert x.shape == expected.shape
+            assert np.array_equal(x, expected)
+        assert np.array_equal(ab, before)
+
+
+def test_solve_banded_keeps_scipy_errors():
+    # [[1, 1, 0], [1, 1, 0], [0, 0, 1]]: elimination meets an exact zero
+    # pivot.
+    singular = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+    for solve in (subcritical.solve_banded, scipy_solve_banded):
+        with pytest.raises(LinAlgError):
+            solve((1, 1), singular, np.ones(3))
+    ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = ab.copy()
+        broken[1, 1] = bad
+        with pytest.raises(ValueError):
+            subcritical.solve_banded((1, 1), broken, np.ones(3))
+        rhs = np.ones((3, 2))
+        rhs[2, 1] = bad
+        with pytest.raises(ValueError):
+            subcritical.solve_banded((1, 1), ab, rhs)
+
+
+# -- stall exit of the relocation retry --------------------------------------
+
+
+def _logged_continuation(monkeypatch, profile, grid):
+    """Run the continuation with every strong_norm value logged; each
+    projected-gradient relocation logs None first."""
+    log = []
+    norm = subcritical.DiscreteOperator.strong_norm
+    relocate = subcritical._projected_gradient
+
+    def logged_norm(self, residual):
+        value = norm(self, residual)
+        log.append(value)
+        return value
+
+    def logged_relocate(*args):
+        log.append(None)
+        return relocate(*args)
+
+    monkeypatch.setattr(subcritical.DiscreteOperator, "strong_norm",
+                        logged_norm)
+    monkeypatch.setattr(subcritical, "_projected_gradient", logged_relocate)
+    return continue_to_critical(profile, grid), log
+
+
+def _retry_searches(log, tol=1e-10):
+    """Replay the line searches of the last relocation retry from its
+    logged residual norms: the trials each search took, or None for a
+    search that ran out of halvings."""
+    norms = log[len(log) - log[::-1].index(None):]
+    res_norm, k, searches = norms[0], 1, []
+    trials_per_search = subcritical._MAX_HALVINGS + 1
+    while k < len(norms) and res_norm > tol:
+        trials = norms[k:k + trials_per_search]
+        better = [t < res_norm for t in trials]
+        taken = better.index(True) + 1 if True in better else len(trials)
+        searches.append(taken if True in better else None)
+        res_norm, k = trials[taken - 1], k + taken
+    assert k == len(norms), "log does not parse as one Newton run"
+    return searches
+
+
+def _longest_exhausted_run(searches):
+    longest = run = 0
+    for taken in searches:
+        run = run + 1 if taken is None else 0
+        longest = max(longest, run)
+    return longest
+
+
+def test_retry_recovering_after_exhausted_searches_golden(monkeypatch):
+    # A flat3 ball of the benchmark (seed 4, j = 4.252647, 128 nodes per
+    # unit): its relocation retry at s = 5.949867 runs out of halvings up
+    # to three times in a row and still converges, so the stall exit
+    # leaves it alone.  Y was captured before the exit existed.
+    result, log = _logged_continuation(
+        monkeypatch, manifold.euclidean(3, 1e8), RadialGrid(j=4.252647, N=544))
+    assert result.y_best == 5.52621181246316
+    assert result.concentration_reason == (
+        "minimizer narrowed to a grid-scale spike at s = 5.949867")
+    searches = _retry_searches(log)
+    assert 1 <= _longest_exhausted_run(searches) < subcritical._STALL_ITERS
+    assert searches[-1] is not None
+
+
+def test_failing_retry_stops_at_stall_limit(monkeypatch):
+    # bump3 on a coarse ball fails at s = 5.923349: the retry stops after
+    # _STALL_ITERS exhausted line searches in a row, after 16 of the 60
+    # iterations it used to run out.
+    result, log = _logged_continuation(
+        monkeypatch, manifold.power_bump(3, -0.5, 0.25, 1e8),
+        RadialGrid(j=2.0, N=64))
+    stall = subcritical._STALL_ITERS
+    assert result.concentration_reason.startswith(
+        f"solver failure at s = 5.923349: Newton stalled: {stall} line "
+        "searches in a row ran out of halvings (residual ")
+    searches = _retry_searches(log)
+    assert searches[-stall:] == [None] * stall
+    assert _longest_exhausted_run(searches[:-1]) < stall
+    assert len(searches) == 16
+    # Residual norms the retry evaluated: 1,196 when it ran out its 60
+    # iterations.
+    assert log[::-1].index(None) == 275
