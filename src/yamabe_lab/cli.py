@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -57,6 +58,8 @@ def _parse_csv_floats(text: str, flag: str) -> tuple:
         values = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise DomainError(f"bad {flag} value '{text}': {exc}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError(f"{flag} values must be finite, got '{text}'")
     if not values:
         raise DomainError(f"{flag} must list at least one number")
     return values
@@ -306,13 +309,26 @@ def cmd_blowup(config: RunConfig, args) -> dict:
     return payload
 
 
+# Each command with the one flag it reads beyond --config and --out.
 _COMMANDS = {
-    "constants": cmd_constants,
-    "exhaust": cmd_exhaust,
-    "decay": cmd_decay,
-    "bubble": cmd_bubble,
-    "blowup": cmd_blowup,
+    "constants": (cmd_constants, "radii"),
+    "exhaust": (cmd_exhaust, "radii"),
+    "decay": (cmd_decay, "trace"),
+    "bubble": (cmd_bubble, "alphas"),
+    "blowup": (cmd_blowup, "field"),
 }
+_FLAG_HELP = {
+    "radii": "override pipeline radii, CSV",
+    "alphas": "override bubble alphas, CSV",
+    "trace": "trace.json from a prior exhaust run",
+    "field": "field CSV for blow-up diagnostics",
+}
+# Flags that main turns into pipeline overrides of the same name.
+_OVERRIDES = ("radii", "alphas")
+_OUT_HELP = "directory for the JSON report (default: stdout only)"
+_EXHAUST_OUT_HELP = ("directory for the JSON report, trace.json and the "
+                     "field CSVs (default: the report to stdout only, the "
+                     "rest to the current directory)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,31 +337,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for the Yamabe equation on "
                     "rotationally symmetric model manifolds.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
+    for name, (fn, flag) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=fn.__doc__.splitlines()[0])
         cmd.add_argument("--config", help="JSON run configuration "
                          "(defaults: flat n=3 pipeline)")
-        cmd.add_argument("--out", help="directory for JSON reports and "
-                         "artifacts (default: stdout only)")
-        cmd.add_argument("--radii", help="override pipeline radii, CSV")
-        cmd.add_argument("--alphas", help="override bubble alphas, CSV")
-        cmd.add_argument("--trace", help="trace.json from a prior exhaust run")
-        cmd.add_argument("--field", help="field CSV for blow-up diagnostics")
+        cmd.add_argument("--out", help=_EXHAUST_OUT_HELP if name == "exhaust"
+                         else _OUT_HELP)
+        cmd.add_argument(f"--{flag}", help=_FLAG_HELP[flag])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    fn, flag = _COMMANDS[args.command]
     try:
         config = load_config(args.config) if args.config else RunConfig()
-        overrides = {}
-        if args.radii:
-            overrides["radii"] = _parse_csv_floats(args.radii, "--radii")
-        if args.alphas:
-            overrides["alphas"] = _parse_csv_floats(args.alphas, "--alphas")
-        if overrides:
-            config = config.with_overrides(**overrides)
-        payload = _COMMANDS[args.command](config, args)
+        value = getattr(args, flag)
+        if flag in _OVERRIDES and value:
+            config = config.with_overrides(
+                **{flag: _parse_csv_floats(value, f"--{flag}")})
+        payload = fn(config, args)
     except STAGE_ERRORS as exc:
         print(f"error [{args.command}]: {type(exc).__name__}: {exc}",
               file=sys.stderr)

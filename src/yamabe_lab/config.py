@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
+import sys
 import types
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -105,7 +106,8 @@ def _build_block(cls, data: dict):
 
 def _has_type(value, hint) -> bool:
     """JSON value check against a field annotation: ints pass as floats,
-    bools as neither, and tuples are lists of numbers."""
+    bools as neither, floats must be finite (JSON gives NaN, and inf for
+    1e400), and tuples are lists of such numbers."""
     if isinstance(hint, types.UnionType):
         return any(_has_type(value, arm) for arm in typing.get_args(hint))
     if hint is type(None):
@@ -113,7 +115,8 @@ def _has_type(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
-        return isinstance(value, numbers.Real)
+        return (isinstance(value, numbers.Real)
+                and abs(value) <= sys.float_info.max)
     if hint is tuple:
         return isinstance(value, (list, tuple)) and all(
             _has_type(item, float) for item in value)

@@ -102,17 +102,20 @@ def _record_from(j: float, profile: MetricProfile,
     )
 
 
+# Relative slack of the Y_j monotonicity check.  It matches the
+# demonstrated accuracy of the per-ball estimates (~1-2% from the
+# subcritical extrapolation); the underlying lambda_s values at fixed s
+# are domain-monotone to solver precision, and that sharper property is
+# what the test suite checks.
+_TOL_MONO_REL = 0.02
+
+
 def run_exhaustion(profile: MetricProfile, radii, nodes_per_unit: int = 128,
-                   tol_mono_rel: float = 0.02,
                    **solver_options) -> ExhaustionTrace:
     """Continuation solve on every ball of the exhaustion.
 
     Raises MonotonicityError when the Y_j sequence increases by more than
-    tol_mono = tol_mono_rel * |Y_{j_1}|.  The default matches the
-    demonstrated accuracy of the per-ball estimates (~1-2% from the
-    subcritical extrapolation); the underlying lambda_s values at fixed s
-    are domain-monotone to solver precision, and that sharper property is
-    what the test suite checks.
+    tol_mono = _TOL_MONO_REL * |Y_{j_1}|.
     """
     radii = [float(j) for j in radii]
     if len(radii) < 3:
@@ -126,7 +129,7 @@ def run_exhaustion(profile: MetricProfile, radii, nodes_per_unit: int = 128,
         grid = RadialGrid(j=j, N=max(64, int(round(nodes_per_unit * j))))
         result = continue_to_critical(profile, grid, **solver_options)
         records.append(_record_from(j, profile, result))
-    tol_mono = tol_mono_rel * abs(records[0].y)
+    tol_mono = _TOL_MONO_REL * abs(records[0].y)
     for prev, cur in zip(records, records[1:]):
         if cur.y > prev.y + tol_mono:
             raise MonotonicityError(

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -44,15 +46,16 @@ class MetricProfile:
     def __post_init__(self):
         if self.n < 3:
             raise ProfileError(f"dimension must be >= 3, got {self.n}")
-        if not self.r_max > 0:
-            raise ProfileError(f"r_max must be positive, got {self.r_max}")
+        if not (math.isfinite(self.r_max) and self.r_max > 0):
+            raise ProfileError(
+                f"r_max must be finite and positive, got {self.r_max}")
         tol = _POLE_TOL_TABLE if self.name == "table" else _POLE_TOL_CLOSED
         h = 1e-5 * self.r_max if self.name == "table" else 1e-6
         f0 = float(self.f(0.0))
         fp0 = (float(self.f(h)) - f0) / h
-        if abs(f0) > tol:
+        if not abs(f0) <= tol:  # NaN fails too
             raise ProfileError(f"f(0) = {f0:.3e}, expected 0")
-        if abs(fp0 - 1.0) > max(tol, 10 * h):
+        if not abs(fp0 - 1.0) <= max(tol, 10 * h):
             raise ProfileError(f"f'(0) = {fp0:.6f}, expected 1")
         r_check = np.linspace(self.r_max / 512, self.r_max, 512)
         # f may overflow to inf far out (sinh r past r ~ 710): still > 0.
@@ -200,25 +203,41 @@ def load_table_csv(n: int, path, r_max=None) -> MetricProfile:
     return from_table(n, data[:, 0], data[:, 1], r_max=r_max)
 
 
+# Each closed-form family with the params it takes from a config, beyond
+# n and r_max.
 _FAMILIES = {
-    "euclidean": euclidean,
-    "hyperbolic": hyperbolic,
-    "sphere": sphere,
-    "cigar": cigar,
-    "power_bump": power_bump,
+    "euclidean": (euclidean, ()),
+    "hyperbolic": (hyperbolic, ()),
+    "sphere": (sphere, ()),
+    "cigar": (cigar, ()),
+    "power_bump": (power_bump, ("a", "b")),
 }
+
+
+def _check_params(name: str, params: dict, expected: tuple) -> None:
+    ok = set(params) == set(expected) and all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max for v in params.values())
+    if not ok:
+        raise ProfileError(
+            f"profile '{name}' takes params {list(expected)} as finite "
+            f"numbers, got {params!r}")
 
 
 def make_profile(name: str, n: int, r_max: float, params: dict | None = None,
                  table_path=None) -> MetricProfile:
     """Build a profile from config-style fields."""
+    params = params or {}
     if name == "table":
+        _check_params(name, params, ())
         if table_path is None:
             raise ProfileError("table profile needs table_path")
         return load_table_csv(n, table_path, r_max=r_max)
     if name not in _FAMILIES:
         raise ProfileError(f"unknown profile '{name}' (have {sorted(_FAMILIES)})")
-    return _FAMILIES[name](n=n, r_max=r_max, **(params or {}))
+    family, expected = _FAMILIES[name]
+    _check_params(name, params, expected)
+    return family(n=n, r_max=r_max, **params)
 
 
 # -- geometric quantities ----------------------------------------------------
@@ -266,18 +285,17 @@ class VolumeGrowth(NamedTuple):
 # exponential growth; otherwise the polynomial fit and its residual are
 # reported as they are.
 _EXP_FIT_FACTOR = 0.5
+# Sample radii of the fits, evenly spaced over the window.
+_GROWTH_SAMPLES = 16
 
 
-def volume_growth_exponent(profile: MetricProfile, r_window,
-                           samples: int = 16) -> VolumeGrowth:
+def volume_growth_exponent(profile: MetricProfile, r_window) -> VolumeGrowth:
     """Least-squares growth exponent of V(r) on [r_lo, r_hi], minus n."""
     r_lo, r_hi = float(r_window[0]), float(r_window[1])
     if not 0 < r_lo < r_hi:
         raise DomainError(f"bad window [{r_lo}, {r_hi}]")
     profile.check_radius(r_hi)
-    if samples < 8:
-        raise DomainError("window must contain >= 8 samples")
-    radii = np.linspace(r_lo, r_hi, samples)
+    radii = np.linspace(r_lo, r_hi, _GROWTH_SAMPLES)
     # One cumulative pass of f^{n-1} covers every sample radius.
     grid = np.linspace(0.0, r_hi, 8192)
     integrand = np.asarray(profile.f(grid), dtype=float) ** (profile.n - 1)

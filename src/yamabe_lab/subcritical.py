@@ -114,13 +114,11 @@ class DiscreteOperator:
     def energy(self, u_unknown) -> float:
         return float(u_unknown @ self.apply(u_unknown))
 
-    def banded(self, shift_diag=None):
-        """(3, m) banded form of A (+ optional diagonal shift) for LAPACK."""
+    def banded(self, shift_diag):
+        """(3, m) banded form of A + diag(shift_diag) for LAPACK."""
         m = self.n_unknowns
         ab = np.zeros((3, m))
-        ab[1] = self._diag_u
-        if shift_diag is not None:
-            ab[1] = ab[1] + shift_diag
+        ab[1] = self._diag_u + shift_diag
         ab[0, 1:] = self._off_u
         ab[2, :-1] = self._off_u
         return ab

@@ -1,7 +1,12 @@
 """Command-line surface: reports, determinism, exit codes."""
 
+import argparse
+import contextlib
 import dataclasses
+import inspect
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,8 +16,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import yamabe_lab
+from yamabe_lab import cli
 from yamabe_lab.cli import main
 from yamabe_lab.exhaustion import DecayFit, ExponentReport
 
@@ -282,6 +290,10 @@ def test_unknown_profile_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("block", [
     {"profile": {"n": "3"}},
     {"grid": {"nodes_per_unit": -5}},
+    # Both used to run the whole pipeline: r_max = inf (JSON's 1e400) died
+    # in cylinder_length, and a NaN margin gave the verdict "Y >= Y_inf".
+    {"profile": {"r_max": float("inf")}},
+    {"pipeline": {"margin": float("nan")}},
 ])
 def test_bad_config_value_exits_one(tmp_path, capsys, block):
     path = tmp_path / "bad.json"
@@ -311,6 +323,124 @@ def test_empty_field_csv_exits_one(flat_config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error [blowup]: DomainError")
+
+
+def _one_line_error(code, err, command):
+    assert code == 1
+    assert err.startswith(f"error [{command}]: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("profile", [
+    {"name": "euclidean", "params": {"a": 1}},
+    {"name": "power_bump", "params": {"a": -0.5}},
+    {"name": "power_bump", "params": {"a": "x", "b": 0.25}},
+])
+def test_bad_profile_params_exit_one(tmp_path, capsys, profile):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"profile": profile}))
+    code = main(["bubble", "--config", str(path)])
+    _one_line_error(code, capsys.readouterr().err, "bubble")
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--radii", "2,4,nan"],
+    ["exhaust", "--radii", "2,4,inf"],
+    ["bubble", "--alphas", "0.1,-inf"],
+])
+def test_non_finite_flag_exits_one(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    _one_line_error(code, err, argv[0])
+    assert f"{argv[1]} values must be finite" in err
+
+
+# Half the draws are well formed, so that runs reach the bubble solve too.
+_FUZZ_PARAMS = st.one_of(
+    st.just({}),
+    st.fixed_dictionaries({"a": st.floats(-0.5, 1.0),
+                           "b": st.floats(0.1, 1.0)}),
+    st.dictionaries(
+        st.sampled_from(["a", "b", "c"]),
+        st.one_of(st.floats(-1.0, 2.0), st.just("x"), st.just(math.nan)),
+        max_size=3))
+_FUZZ_PROFILE = st.fixed_dictionaries({
+    "name": st.sampled_from(["euclidean", "hyperbolic", "sphere", "cigar",
+                             "power_bump", "moebius"]),
+    "params": _FUZZ_PARAMS,
+    "n": st.sampled_from([2, 3, 4]),
+})
+_FUZZ_R_MAX = st.one_of(
+    st.just("1e8"), st.sampled_from(["-1", "0", "NaN", "1e400", "1e8"]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(profile=_FUZZ_PROFILE, r_max=_FUZZ_R_MAX)
+def test_profile_fuzz_ends_in_report_or_one_line_error(tmp_path_factory,
+                                                      profile, r_max):
+    # Any profile block either runs or fails as one stage-error line; never
+    # a traceback, and never a silent run on NaN or inf inputs.
+    text = json.dumps({"profile": dict(profile, r_max="@")})
+    path = tmp_path_factory.mktemp("fuzz") / "profile.json"
+    path.write_text(text.replace('"@"', r_max))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["bubble", "--config", str(path)])
+    if code == 0:
+        body = json.loads(out.getvalue())["report"]
+        assert all(math.isfinite(row["quotient"]) for row in body["quotients"])
+    else:
+        _one_line_error(code, err.getvalue(), "bubble")
+
+
+# -- each command takes only the flags it reads ------------------------------
+
+
+def _subparsers():
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _command_source(fn):
+    source = inspect.getsource(fn)
+    if "_run_trace(" in source:
+        source += inspect.getsource(cli._run_trace)
+    return source
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_subcommand_declares_only_flags_it_reads(name):
+    # A declared flag the command never reads would change the reported
+    # config and hash (or nothing at all) without changing a number.
+    fn, _ = cli._COMMANDS[name]
+    source = _command_source(fn)
+    declared = {a.dest for a in _subparsers()[name]._actions
+                if a.option_strings} - {"help", "config", "out"}
+    (flag,) = declared
+    if flag in cli._OVERRIDES:
+        # main turns it into the pipeline key of the same name
+        assert f"pipeline.{flag}" in source
+    else:
+        assert f"args.{flag}" in source
+    # and the command reads no flag it does not declare
+    assert set(re.findall(r"\bargs\.(\w+)", source)) <= declared | {"out"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["bubble", "--radii", "1,2,3"],
+    ["constants", "--field", "f.csv"],
+    ["constants", "--trace", "x"],
+    ["decay", "--alphas", "0.1"],
+    ["exhaust", "--alphas", "0.1"],
+    ["blowup", "--radii", "2,4,8"],
+])
+def test_flag_of_another_command_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unknown_command_rejected():

@@ -65,6 +65,11 @@ def test_shipped_configs_load(configs_dir):
     ({"pipeline": {"radii": [2.0, "x"]}}, "must be tuple"),
     ({"grid": {"nodes_per_unit": -5}}, "must be positive"),
     ({"grid": 5}, "must be a JSON object"),
+    # JSON reads NaN, 1e400 as inf, and a 400-digit int that no float holds
+    ({"pipeline": {"margin": float("nan")}}, "'margin' .* must be float"),
+    ({"profile": {"r_max": float("inf")}}, "'r_max' .* must be float"),
+    ({"profile": {"r_max": 10**400}}, "'r_max' .* must be float"),
+    ({"pipeline": {"radii": [2.0, 4.0, float("nan")]}}, "must be tuple"),
 ])
 def test_bad_values_rejected(tmp_path, block, match):
     path = tmp_path / "bad.json"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yamabe_lab import manifold
+from yamabe_lab import exhaustion, manifold
 from yamabe_lab.constants import critical_exponent
 from yamabe_lab.errors import (DomainError, InfeasibleExponentError,
                                MonotonicityError)
@@ -47,12 +47,12 @@ def test_exhaustion_input_validation(flat_profile):
         run_exhaustion(small, (2.0, 4.0, 8.0))            # exceeds r_max
 
 
-def test_monotonicity_tripwire(flat_profile):
+def test_monotonicity_tripwire(flat_profile, monkeypatch):
     # A zero tolerance must trip on the ~1% method noise of a constant
-    # sequence; the default 2% must not (covered by the flat fixture).
+    # sequence; the shipped 2% must not (covered by the flat fixture).
+    monkeypatch.setattr(exhaustion, "_TOL_MONO_REL", 0.0)
     with pytest.raises(MonotonicityError):
-        run_exhaustion(flat_profile, (2.0, 4.0, 8.0), nodes_per_unit=64,
-                       tol_mono_rel=0.0)
+        run_exhaustion(flat_profile, (2.0, 4.0, 8.0), nodes_per_unit=64)
 
 
 # -- subsolution check -------------------------------------------------------

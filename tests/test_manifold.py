@@ -25,6 +25,12 @@ def test_rejects_nonpositive_r_max():
         manifold.euclidean(3, r_max=0.0)
 
 
+@pytest.mark.parametrize("r_max", [math.inf, math.nan])
+def test_rejects_non_finite_r_max(r_max):
+    with pytest.raises(ProfileError, match="finite"):
+        manifold.euclidean(3, r_max=r_max)
+
+
 def test_rejects_wrong_pole_slope():
     # f(r) = 2r has f'(0) = 2, not an admissible profile.
     with pytest.raises(ProfileError):
@@ -154,8 +160,6 @@ def test_growth_window_validation():
     prof = manifold.euclidean(3, 10.0)
     with pytest.raises(DomainError):
         manifold.volume_growth_exponent(prof, (5.0, 2.0))
-    with pytest.raises(DomainError):
-        manifold.volume_growth_exponent(prof, (1.0, 5.0), samples=4)
 
 
 # -- table profiles ----------------------------------------------------------
@@ -190,3 +194,20 @@ def test_make_profile_dispatch():
         manifold.make_profile("moebius", n=3, r_max=1.0)
     with pytest.raises(ProfileError):
         manifold.make_profile("table", n=3, r_max=1.0)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("euclidean", {"a": 1}),
+    ("cigar", {"b": 0.5}),
+    ("table", {"a": 1.0}),
+    ("power_bump", {"a": 1.0}),
+    ("power_bump", {"a": 1.0, "b": 1.0, "c": 1.0}),
+    ("power_bump", {"a": "x", "b": 1.0}),
+    ("power_bump", {"a": True, "b": 1.0}),
+    ("power_bump", {"a": math.nan, "b": 1.0}),
+    ("power_bump", {"a": 1.0, "b": 10**400}),
+])
+def test_make_profile_checks_params(name, params):
+    # Each family takes exactly its own params, as finite real numbers.
+    with pytest.raises(ProfileError, match=f"profile '{name}' takes params"):
+        manifold.make_profile(name, n=3, r_max=10.0, params=params)
