@@ -59,13 +59,15 @@ class RescaledField:
 _SAMPLES_PER_UNIT = 64
 
 
-def rescale(u: RadialField, profile: MetricProfile,
-            window: float | None = None) -> RescaledField:
+def rescale(u: RadialField, profile: MetricProfile) -> RescaledField:
     """Blow-up rescaling v(x) = u(x_c + delta x)/m around the maximum.
 
     The maximum must sit at an interior node (boundary blow-up is outside
-    the diagnostic's regime).  Resampling is cubic; for a pole-centered
-    maximum the window is symmetric through r = 0 by even reflection.
+    the diagnostic's regime).  The window is |x| <= min(5, rho_k / 2),
+    where rho_k = (j - x_c) / delta, so delta * window stays within half
+    the distance to the outer boundary.  Resampling is cubic; for a
+    pole-centered maximum the window is symmetric through r = 0 by even
+    reflection.
     """
     grid, vals = u.grid, u.values
     k = int(np.argmax(vals))
@@ -78,11 +80,7 @@ def rescale(u: RadialField, profile: MetricProfile,
     delta = m ** (1.0 - p / 2.0)
     center = float(grid.nodes[k])
     rho_k = (grid.j - center) / delta
-    if window is None:
-        window = min(5.0, rho_k / 2.0)
-    if delta * window > grid.j - center:
-        raise DomainError(
-            f"window {window} leaves the grid (rho_k = {rho_k:.3g})")
+    window = min(5.0, rho_k / 2.0)
     spline = CubicSpline(grid.nodes, vals)
     x = np.linspace(-window, window,
                     2 * max(8, int(round(_SAMPLES_PER_UNIT * window))) + 1)
@@ -94,7 +92,7 @@ def rescale(u: RadialField, profile: MetricProfile,
     v = spline(r_samples) / m
     v[np.argmin(np.abs(x))] = vals[k] / m  # exact 1 at the center node
     return RescaledField(x=x, values=np.clip(v, 0.0, 1.0), m=m, delta=delta,
-                         center=center, window=float(window), rho_k=rho_k)
+                         center=center, window=window, rho_k=rho_k)
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,11 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_hash, load_config, profile_from_config
-from .errors import (ConvergenceError, DomainError, GridResolutionError,
-                     InfeasibleExponentError, MonotonicityError, ProfileError,
-                     StabilizationError)
+from .errors import (ConvergenceError, DomainError, InfeasibleExponentError,
+                     MonotonicityError, ProfileError, StabilizationError)
 
-STAGE_ERRORS = (ConvergenceError, DomainError, GridResolutionError,
-                MonotonicityError, ProfileError, StabilizationError,
-                OSError, ValueError)
+STAGE_ERRORS = (ConvergenceError, DomainError, MonotonicityError, ProfileError,
+                StabilizationError, OSError, ValueError)
 
 
 # -- report plumbing ---------------------------------------------------------

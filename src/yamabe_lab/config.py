@@ -98,7 +98,11 @@ def _build_block(cls, data: dict):
             raise DomainError(
                 f"config key '{f.name}' in block '{cls.__name__}' must be "
                 f"{f.type}, got {value!r}")
-        if isinstance(value, list):
+        if hints[f.name] is tuple:
+            if not value:
+                raise DomainError(
+                    f"config key '{f.name}' in block '{cls.__name__}' must "
+                    f"list at least one number")
             value = tuple(value)
         coerced[f.name] = value
     return cls(**coerced)

@@ -9,17 +9,6 @@ class ProfileError(ValueError):
     """A metric profile violates its smoothness/positivity invariants."""
 
 
-class GridResolutionError(ValueError):
-    """The grid is too coarse for the requested computation.
-
-    Carries ``required_n`` with a hint for the minimal node count.
-    """
-
-    def __init__(self, message, required_n=None):
-        super().__init__(message)
-        self.required_n = required_n
-
-
 class ConvergenceError(RuntimeError):
     """An iterative solve failed to converge.
 

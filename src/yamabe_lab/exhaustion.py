@@ -25,6 +25,7 @@ BOUNDARY_LAYER = 0.125  # thickness of U_j = {d(x, boundary) < 1/8}, fixed
 _EXTENSION_FACTOR = 2.0  # subsolution check extends u_j by zero to 2 j
 _SUBSOLUTION_TOL_REL = 1e-6  # of the largest nonlinear term
 _MIN_TAIL_POINTS = 10  # positive nodes a decay-fit window must hold
+_WINDOW_HI = 0.95  # decay-fit window ends at _WINDOW_HI * j
 _DECAY_SLACK = 0.2  # alpha_fitted >= alpha_predicted - slack passes
 _BOUNDARY_RATIO_CAP = 2.0  # max/min of the upper half's boundary maxima
 _BOUNDARY_FLOOR = 1e-2  # boundary maxima below this pass outright
@@ -210,7 +211,6 @@ class ExponentReport:
     y_inf: float
     rho: float
     beta0: float
-    eps: float
     delta: float
     rho0: float
     alpha_predicted: float
@@ -226,23 +226,21 @@ class ExponentReport:
 _BETA_CAP_GUARD = 1.0 - 1e-9
 
 
-def beta0_select(n: int, c0y: float, eps: float = 0.0) -> float:
-    """Largest admissible beta_0 with (beta_0^2 + eps) c0y < 1, < n/(n-2)."""
+def beta0_select(n: int, c0y: float) -> float:
+    """Largest admissible beta_0 with beta_0^2 c0y < 1, < n/(n-2)."""
     if n < 3:
         raise DomainError(f"dimension must be >= 3, got {n}")
-    if not 0.0 <= eps < 1.0:
-        raise DomainError(f"slack eps must lie in [0, 1), got {eps}")
     cap = n / (n - 2) * _BETA_CAP_GUARD
     if c0y <= 0.0:
         return cap  # every beta_0 is admissible; take the sharpest
     if c0y >= 1.0:
         raise InfeasibleExponentError(
             f"condition (1.2) margin exhausted: C0 Y = {c0y} >= 1")
-    return min(math.sqrt((1.0 - eps) / c0y), cap)
+    return min(math.sqrt(1.0 / c0y), cap)
 
 
-def exponent_formulas(n: int, Y: float, Y_inf: float, rho: float,
-                      eps: float = 0.0) -> ExponentReport:
+def exponent_formulas(n: int, Y: float, Y_inf: float,
+                      rho: float) -> ExponentReport:
     """Closed-form decay exponents for volume growth V <= C r^{n+rho}."""
     if Y_inf <= 0.0:
         raise InfeasibleExponentError(
@@ -251,12 +249,12 @@ def exponent_formulas(n: int, Y: float, Y_inf: float, rho: float,
         raise InfeasibleExponentError(
             f"hypothesis Y < Y_inf violated: Y = {Y}, Y_inf = {Y_inf}")
     if Y > 0.0:
-        beta0 = beta0_select(n, Y / Y_inf, eps)
+        beta0 = beta0_select(n, Y / Y_inf)
         rho0 = min(n * math.sqrt(Y_inf / Y) - n, 2.0 * n / (n - 2))
         alpha = (n - 2) / 2.0 - (n - 2) * rho / (2.0 * n * (beta0 - 1.0))
     else:
         # Y <= 0: the nonlinear term drops and rho_0 = 2n/(n-2) directly.
-        beta0 = beta0_select(n, 0.0, eps)
+        beta0 = beta0_select(n, 0.0)
         rho0 = 2.0 * n / (n - 2)
         alpha = (n - 2) * (2.0 * n - rho * (n - 2)) / (4.0 * n)
     if rho >= rho0:
@@ -264,8 +262,7 @@ def exponent_formulas(n: int, Y: float, Y_inf: float, rho: float,
             f"hypothesis rho < rho_0 violated: rho = {rho}, rho_0 = {rho0}")
     delta = (n - 2) * beta0 / (n * beta0 - 2.0)
     return ExponentReport(n=n, y=Y, y_inf=Y_inf, rho=rho, beta0=beta0,
-                          eps=eps, delta=delta, rho0=rho0,
-                          alpha_predicted=alpha)
+                          delta=delta, rho0=rho0, alpha_predicted=alpha)
 
 
 # -- empirical decay ---------------------------------------------------------
@@ -296,18 +293,18 @@ def fit_tail_exponent(field: RadialField, r_lo: float, r_hi: float):
 
 
 def decay_fit(trace: ExhaustionTrace, window_frac: float = 0.5,
-              window_hi: float = 0.95,
               alpha_predicted: float | None = None) -> DecayFit:
     """Fit the tail decay exponent of the largest-j field.
 
-    The window is [window_frac * j, window_hi * j]; nonpositive tail
+    The window is [window_frac * j, _WINDOW_HI * j]; nonpositive tail
     values shrink it automatically.  The comparison against
     alpha_predicted is one-sided: faster empirical decay passes.
     """
-    if not 0.0 < window_frac < window_hi <= 1.0:
-        raise DomainError(f"bad window fractions ({window_frac}, {window_hi})")
+    if not 0.0 < window_frac < _WINDOW_HI:
+        raise DomainError(f"window_frac must lie in (0, {_WINDOW_HI}), "
+                          f"got {window_frac}")
     rec = trace.largest
-    r_lo, r_hi = window_frac * rec.j, window_hi * rec.j
+    r_lo, r_hi = window_frac * rec.j, _WINDOW_HI * rec.j
     alpha, rms, count = fit_tail_exponent(rec.field, r_lo, r_hi)
     passed = None if alpha_predicted is None \
         else bool(alpha >= alpha_predicted - _DECAY_SLACK)

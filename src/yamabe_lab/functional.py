@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import (area_weight, conformal_coupling, critical_exponent,
                         sphere_volume)
-from .errors import DomainError, GridResolutionError, StabilizationError
+from .errors import DomainError, StabilizationError
 from .manifold import MetricProfile
 from .radial import RadialField, RadialGrid, lp_norm, yamabe_energy
 
@@ -64,14 +64,13 @@ def _cutoff(r, eps):
     return 0.5 * (1.0 + np.cos(math.pi * t))
 
 
-# Nodes required inside r <= alpha for the quotient to be trusted, and
-# nodes per alpha of the default grid.
-_MIN_NODES_IN_ALPHA = 16
+# Grid of the bubble quotient on its support [0, 2 eps]: _BUBBLE_OVERSAMPLE
+# intervals per alpha, and at least _MIN_BUBBLE_NODES of them.
 _BUBBLE_OVERSAMPLE = 64
+_MIN_BUBBLE_NODES = 4096
 
 
-def bubble_quotient(profile: MetricProfile, spec: BubbleSpec,
-                    N: int | None = None) -> QuotientReport:
+def bubble_quotient(profile: MetricProfile, spec: BubbleSpec) -> QuotientReport:
     """Critical quotient Q_p of the cut-off bubble eta u_alpha centered at
     the pole."""
     if 2.0 * spec.eps > profile.r_max:
@@ -79,14 +78,8 @@ def bubble_quotient(profile: MetricProfile, spec: BubbleSpec,
             f"cutoff support 2 eps = {2 * spec.eps} exceeds r_max")
     s = critical_exponent(profile.n)
     r_out = 2.0 * spec.eps
-    required = int(math.ceil(_MIN_NODES_IN_ALPHA * r_out / spec.alpha))
-    if N is None:
-        N = max(4096,
-                int(math.ceil(_BUBBLE_OVERSAMPLE * r_out / spec.alpha)))
-    elif N < required:
-        raise GridResolutionError(
-            f"N = {N} leaves fewer than {_MIN_NODES_IN_ALPHA} nodes inside "
-            f"r <= alpha; need N >= {required}", required_n=required)
+    N = max(_MIN_BUBBLE_NODES,
+            int(math.ceil(_BUBBLE_OVERSAMPLE * r_out / spec.alpha)))
     grid = RadialGrid(j=r_out, N=N)
     phi = _cutoff(grid.nodes, spec.eps) * bubble_values(profile.n, spec.alpha,
                                                         grid.nodes)
@@ -244,32 +237,29 @@ class ScalarLowerBound(NamedTuple):
 
 # Radius up to which scalar_lower_bound samples uniformly; beyond it the
 # samples are geometric, so the pole region stays resolved however far
-# out R_out lies (the curvature features of the profile class sit at
+# out r_max lies (the curvature features of the profile class sit at
 # r = O(1)).
 _UNIFORM_SPAN = 100.0
 _LOWER_BOUND_SAMPLES = 16384
 
 
-def _lower_bound_samples(R_out: float) -> np.ndarray:
-    """Sample radii on [0, R_out]: uniform when R_out <= _UNIFORM_SPAN,
+def _lower_bound_samples(r_max: float) -> np.ndarray:
+    """Sample radii on [0, r_max]: uniform when r_max <= _UNIFORM_SPAN,
     else half uniform on [0, _UNIFORM_SPAN) and half geometric on
-    [_UNIFORM_SPAN, R_out]."""
-    if R_out <= _UNIFORM_SPAN:
-        return np.linspace(0.0, R_out, _LOWER_BOUND_SAMPLES)
+    [_UNIFORM_SPAN, r_max]."""
+    if r_max <= _UNIFORM_SPAN:
+        return np.linspace(0.0, r_max, _LOWER_BOUND_SAMPLES)
     half = _LOWER_BOUND_SAMPLES // 2
     return np.concatenate([
         np.linspace(0.0, _UNIFORM_SPAN, half, endpoint=False),
-        np.geomspace(_UNIFORM_SPAN, R_out, _LOWER_BOUND_SAMPLES - half)])
+        np.geomspace(_UNIFORM_SPAN, r_max, _LOWER_BOUND_SAMPLES - half)])
 
 
-def scalar_lower_bound(profile: MetricProfile,
-                       R_out: float | None = None) -> ScalarLowerBound:
-    """Lower bound of Lemma-type: nonpositive, 0 when R_g >= 0."""
-    if R_out is None:
-        R_out = profile.r_max
-    profile.check_radius(R_out)
+def scalar_lower_bound(profile: MetricProfile) -> ScalarLowerBound:
+    """Lower bound of Lemma-type over [0, r_max]: nonpositive, 0 when
+    R_g >= 0."""
     n = profile.n
-    r = _lower_bound_samples(R_out)
+    r = _lower_bound_samples(profile.r_max)
     try:
         curvature = np.asarray(profile.scalar_curvature(r), dtype=float)
     except DomainError:

@@ -194,11 +194,18 @@ def load_table_csv(n: int, path, r_max=None) -> MetricProfile:
     rows = []
     with Path(path).open(newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, [])
         if [c.strip() for c in header[:2]] != ["r", "f"]:
             raise ProfileError(f"table {path} must have header 'r,f'")
         for row in reader:
-            rows.append((float(row[0]), float(row[1])))
+            try:
+                rows.append((float(row[0]), float(row[1])))
+            except (IndexError, ValueError):
+                raise ProfileError(
+                    f"table {path} line {reader.line_num}: need two numbers "
+                    f"'r,f', got {','.join(row)!r}") from None
+    if not rows:
+        raise ProfileError(f"table {path} holds no (r, f) rows")
     data = np.asarray(rows)
     return from_table(n, data[:, 0], data[:, 1], r_max=r_max)
 

@@ -28,7 +28,6 @@ _EIGEN_TOL = 1e-13  # its relative eigenvalue tolerance
 _PG_ITERS = 400  # Barzilai-Borwein steps of the projected-gradient relocation
 _MAX_HALVINGS = 20  # step halvings per Newton line search
 _STALL_ITERS = 8  # exhausted line searches in a row that end the retry
-_CONCENTRATION_CAP = 1e3  # running max over initial max that concentrates
 _MIN_HALFWIDTH_NODES = 4  # half-max width, in cells, of a grid-scale spike
 
 
@@ -402,10 +401,9 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
 
     Builds the one DiscreteOperator of (profile, grid) that the
     eigenpair, every schedule step and the polish share.  Concentration
-    is declared when the running maximum exceeds ``_CONCENTRATION_CAP``
-    times the initial maximum, or when the minimizer narrows to a
-    grid-scale spike (half-max width below ``_MIN_HALFWIDTH_NODES`` grid
-    cells) that the discretization can no longer represent.  On
+    is declared when the minimizer narrows to a grid-scale spike (half-max
+    width below ``_MIN_HALFWIDTH_NODES`` grid cells) that the
+    discretization can no longer represent, or when a solve fails.  On
     concentration the partial results are returned with the flag set;
     this is the expected exit on flat balls.
     """
@@ -415,9 +413,6 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
 
     op = DiscreteOperator(profile, grid)
     _, init = first_eigenpair(op)
-    initial_max = float(np.max(init.values)) / lp_norm(init, schedule[0],
-                                                       profile)
-    cap = _CONCENTRATION_CAP * initial_max
     spike_width = _MIN_HALFWIDTH_NODES * grid.h
     lam_values = []
     concentration, reason = False, ""
@@ -432,11 +427,6 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
             break
         current = sol.field
         lam_values.append(sol.lam)
-        peak = float(np.max(current.values))
-        if peak > cap:
-            concentration, reason = True, (
-                f"max u = {peak:.3g} exceeded cap x initial max at s = {s:.6f}")
-            break
         if _half_max_width(current) < spike_width:
             concentration, reason = True, (
                 f"minimizer narrowed to a grid-scale spike at s = {s:.6f}")
@@ -464,8 +454,7 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
         try:
             crit = solve_subcritical(op, p, init=current, tol=tol,
                                      max_iters=max_iters)
-            peak = float(np.max(crit.field.values))
-            if peak > cap or _half_max_width(crit.field) < spike_width:
+            if _half_max_width(crit.field) < spike_width:
                 concentration, reason = True, "critical polish concentrated"
             else:
                 y_critical = crit.lam

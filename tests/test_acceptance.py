@@ -84,8 +84,7 @@ def test_criterion_02_lemma_chain_on_shipped_profiles(shipped_runs):
     slack = 0.02 * LAMBDA3  # per-link slack; its derivation is not recorded
     details, ok = [], True
     for name, (cfg, profile, trace, exteriors) in shipped_runs.items():
-        lower = scalar_lower_bound(
-            profile, R_out=min(profile.r_max, 100.0))
+        lower = scalar_lower_bound(profile)
         if lower.divergent:
             details.append(f"{name}: excluded (||R_-||_{{n/2}} divergent)")
             continue

@@ -1,0 +1,38 @@
+"""The benchmark's use of the package: every traced name resolves, and one
+operation of each workload runs and passes its checks.
+
+The benchmark in ``perfbench/`` imports functions, keywords and dataclass
+fields of ``yamabe_lab`` by name; a rename or a dropped keyword there
+fails these tests instead of the benchmark run.
+"""
+
+import importlib
+import sys
+
+import pytest
+
+from conftest import REPO_ROOT
+
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+
+import tracer  # noqa: E402
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("target", tracer.TARGETS,
+                         ids=[t[2] + ":" + t[1] for t in tracer.TARGETS])
+def test_trace_target_resolves(target):
+    module_name, attr = target[0], target[1]
+    obj = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    assert callable(obj)
+
+
+@pytest.mark.parametrize("name", ["balls", "exterior", "cold_cli"])
+def test_workload_first_op_passes(name, tmp_path):
+    workload = workloads.WORKLOADS[name](REPO_ROOT, 1, tmp_path)
+    workload.warm_up()
+    raw = workload.call(0)
+    outcome = workload.check(0, raw)
+    assert outcome.ok, (outcome.problems, outcome.declined)

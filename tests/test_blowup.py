@@ -88,7 +88,7 @@ def test_rescale_roundtrip_on_synthetic_bubble():
     grid = RadialGrid(j=4.0, N=8192)
     vals = m * standard_bubble(n, Y, (grid.nodes - center) / delta)
     field = RadialField(grid, vals, boundary="free")
-    rs = rescale(field, manifold.euclidean(n, r_max=10.0), window=4.0)
+    rs = rescale(field, manifold.euclidean(n, r_max=10.0))
     assert rs.m == pytest.approx(m)
     assert rs.delta == pytest.approx(delta)
     assert rs.center == pytest.approx(center, abs=grid.h)
@@ -103,20 +103,12 @@ def test_rescale_rejects_boundary_maximum():
         rescale(field, manifold.euclidean(3, r_max=2.0))
 
 
-def test_rescale_rejects_oversized_window():
-    grid = RadialGrid(j=1.0, N=256)
-    vals = np.exp(-10.0 * (grid.nodes - 0.9) ** 2)
-    field = RadialField(grid, vals, boundary="free")
-    with pytest.raises(DomainError):
-        rescale(field, manifold.euclidean(3, r_max=2.0), window=1e3)
-
-
 def test_rescale_pole_reflection():
     # A pole-centered peak keeps v symmetric through x = 0.
     grid = RadialGrid(j=2.0, N=1024)
     vals = np.exp(-grid.nodes**2)
     field = RadialField(grid, vals, boundary="free")
-    rs = rescale(field, manifold.euclidean(3, r_max=4.0), window=2.0)
+    rs = rescale(field, manifold.euclidean(3, r_max=4.0))
     assert rs.center == 0.0
     assert np.allclose(rs.values, rs.values[::-1], atol=1e-10)
 

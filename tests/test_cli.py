@@ -294,14 +294,35 @@ def test_unknown_profile_exits_one(tmp_path, capsys):
     # in cylinder_length, and a NaN margin gave the verdict "Y >= Y_inf".
     {"profile": {"r_max": float("inf")}},
     {"pipeline": {"margin": float("nan")}},
+    # An empty r_in ran the whole exhaustion and then died in an
+    # IndexError; empty alphas gave bubble an empty table and exit 0.
+    {"pipeline": {"r_in": []}},
+    {"pipeline": {"alphas": []}},
+    # Table profiles: "table" holds the CSV text, written to a file here.
+    # A short row and a header-only file ended in IndexError tracebacks,
+    # an empty file in StopIteration, a non-numeric cell in a ValueError
+    # that did not name the file.
+    {"profile": {"name": "table", "table": "r,f\n0,0\n1\n"}},
+    {"profile": {"name": "table", "table": ""}},
+    {"profile": {"name": "table", "table": "r,f\n"}},
+    {"profile": {"name": "table", "table": "r,f\n0,0\n0.1,x\n"}},
 ])
 def test_bad_config_value_exits_one(tmp_path, capsys, block):
+    table = block.get("profile", {}).get("table")
+    if table is not None:
+        csv_path = tmp_path / "table.csv"
+        csv_path.write_text(table)
+        block = {"profile": block["profile"] | {"table": str(csv_path)}}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(block))
     code = main(["constants", "--config", str(path)])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error [constants]: DomainError")
+    if table is None:
+        assert err.startswith("error [constants]: DomainError")
+    else:
+        assert err.startswith("error [constants]: ProfileError")
+        assert str(csv_path) in err
     assert len(err.strip().splitlines()) == 1
 
 

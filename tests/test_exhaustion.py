@@ -90,7 +90,6 @@ def test_beta0_select_values():
     assert beta0_select(3, 0.25) == pytest.approx(2.0, rel=1e-9)
     assert beta0_select(3, 0.04) == pytest.approx(3.0, rel=1e-8)  # capped
     assert beta0_select(4, -1.0) == pytest.approx(2.0, rel=1e-8)  # Y <= 0
-    assert beta0_select(3, 0.5, eps=0.5) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_beta0_select_guards():
@@ -98,17 +97,17 @@ def test_beta0_select_guards():
         beta0_select(3, 1.0)
     assert "margin exhausted" in str(err.value)
     with pytest.raises(DomainError):
-        beta0_select(3, 0.5, eps=1.5)
+        beta0_select(2, 0.5)
 
 
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(3, 8), c0y=st.floats(1e-6, 0.95))
 def test_beta0_always_admissible(n, c0y):
-    eps = 0.01
-    beta0 = beta0_select(n, c0y, eps=eps)
+    beta0 = beta0_select(n, c0y)
     assert 1.0 < beta0 < n / (n - 2)
-    # the defining admissibility condition holds strictly under the slack
-    assert (beta0**2 + eps) * c0y < 1.0
+    # beta0^2 c0y < 1 defines the admissible set; beta0 is its supremum
+    # sqrt(1/c0y) (up to rounding) or the cap below it
+    assert beta0**2 * c0y <= 1.0 + 1e-12
 
 
 _FIXTURES = [
@@ -204,19 +203,23 @@ def test_fit_tail_exponent_window_guard():
 
 def test_decay_fit_on_synthetic_trace():
     fit = decay_fit(_synthetic_trace(alpha=0.5), window_frac=0.25,
-                    window_hi=0.5, alpha_predicted=0.4)
-    # The cutoff factor steepens the measured decay slightly; the
-    # one-sided comparison passes.
+                    alpha_predicted=0.4)
+    # The cutoff factor 1 - r/j steepens the measured decay on the window
+    # [2, 7.6] (alpha = 0.5 fits as 2.0, alpha = 0.1 as 1.7); the
+    # one-sided comparison passes faster decay and fails slower decay.
+    assert fit.window == (2.0, 7.6)
     assert fit.alpha_fitted >= 0.5
     assert fit.passed
     strict = decay_fit(_synthetic_trace(alpha=0.1), window_frac=0.25,
-                       window_hi=0.5, alpha_predicted=2.0)
+                       alpha_predicted=2.0)
     assert not strict.passed
 
 
 def test_decay_fit_window_validation():
-    with pytest.raises(DomainError):
-        decay_fit(_synthetic_trace(), window_frac=0.9, window_hi=0.5)
+    # window_frac must leave a window below the fixed upper end 0.95 j
+    for window_frac in (0.0, 0.95, 1.2):
+        with pytest.raises(DomainError):
+            decay_fit(_synthetic_trace(), window_frac=window_frac)
 
 
 # -- boundary bound ----------------------------------------------------------
