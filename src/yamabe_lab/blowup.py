@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .constants import area_weight, critical_exponent
+from .constants import area_weight, critical_exponent, lambda_constant
 from .errors import DomainError
 from .manifold import MetricProfile
 from .radial import RadialField
@@ -159,8 +159,6 @@ def contradiction_test(x, v, n: int, Y: float) -> ContradictionReport:
     satisfy Lambda <= Y (int v^p)^{2/n} within ``_CONTRADICTION_REL_TOL``;
     for the extremal bubble at Y = Lambda the two sides agree.
     """
-    from .functional import lambda_constant
-
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if x.ndim != 1 or x.shape != v.shape or x.size < 64:

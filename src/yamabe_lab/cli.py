@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_hash, load_config, profile_from_config
+from .constants import lambda_constant
 from .errors import (ConvergenceError, DomainError, InfeasibleExponentError,
                      MonotonicityError, ProfileError, StabilizationError)
 
@@ -74,8 +75,6 @@ INCONCLUSIVE_ABOVE_AUBIN = ("inconclusive: exterior estimate above "
 
 
 def _above_aubin(y_inf: float, n: int) -> bool:
-    from .functional import lambda_constant
-
     return y_inf > lambda_constant(n) * (1.0 + AUBIN_TOL)
 
 
@@ -101,8 +100,7 @@ def _run_trace(profile, config: RunConfig):
 def cmd_constants(config: RunConfig, args) -> dict:
     """Y_j table, Y and Y_inf estimates, the Lemma-type chain, and the
     existence-condition verdict with its margin."""
-    from .functional import exterior_quotient, lambda_constant, \
-        scalar_lower_bound
+    from .functional import exterior_quotient, scalar_lower_bound
 
     profile = profile_from_config(config)
     n = config.profile.n
@@ -245,7 +243,7 @@ def cmd_decay(config: RunConfig, args) -> dict:
 
 def cmd_bubble(config: RunConfig, args) -> dict:
     """Cut-off bubble quotients over the alpha list and the excess rate."""
-    from .functional import BubbleSpec, bubble_quotient, lambda_constant
+    from .functional import BubbleSpec, bubble_quotient
 
     profile = profile_from_config(config)
     lam = lambda_constant(config.profile.n)
@@ -254,9 +252,9 @@ def cmd_bubble(config: RunConfig, args) -> dict:
 
     rows = []
     for alpha in alphas:
-        rep = bubble_quotient(profile, BubbleSpec(alpha=alpha, eps=eps))
-        rows.append({"alpha": alpha, "quotient": rep.quotient,
-                     "excess": rep.quotient - lam})
+        quotient = bubble_quotient(profile, BubbleSpec(alpha=alpha, eps=eps))
+        rows.append({"alpha": alpha, "quotient": quotient,
+                     "excess": quotient - lam})
     excesses = [row["excess"] for row in rows]
     rate = None
     if len(rows) >= 2 and all(e > 0 for e in excesses):
@@ -272,7 +270,6 @@ def cmd_blowup(config: RunConfig, args) -> dict:
     """Rescale a stored field and run the entire-solution diagnostics."""
     from .blowup import (contradiction_test, energy_identity_check, rescale,
                         standard_bubble)
-    from .functional import lambda_constant
     from .radial import load_field_csv
 
     if not args.field:

@@ -34,6 +34,13 @@ def area_weight(n: int) -> float:
     return sphere_volume(n - 1)
 
 
+def lambda_constant(n: int) -> float:
+    """Lambda(n) = n(n-2)/4 * omega_n^{2/n}, the best Sobolev constant on
+    R^n."""
+    _check_dim(n)
+    return n * (n - 2) / 4.0 * sphere_volume(n) ** (2.0 / n)
+
+
 def _check_dim(n: int) -> None:
     if n < 3:
         raise ValueError(f"dimension must be >= 3, got {n}")

@@ -11,13 +11,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field, fields
+from pathlib import Path
 
 import numpy as np
 
 from .constants import critical_exponent
 from .errors import DomainError, InfeasibleExponentError, MonotonicityError
 from .manifold import MetricProfile
-from .radial import RadialField, RadialGrid, lp_norm
+from .radial import (RadialField, RadialGrid, load_field_csv, lp_norm,
+                     save_field_csv)
 from .subcritical import (ContinuationResult, DiscreteOperator, _odd_power,
                           continue_to_critical)
 
@@ -409,16 +411,12 @@ def _tuples(entry: dict) -> dict:
             for key, value in entry.items()}
 
 
-def save_trace(trace: ExhaustionTrace, out_dir) -> "Path":
+def save_trace(trace: ExhaustionTrace, out_dir) -> Path:
     """Write trace.json plus one field CSV per ball under out_dir.
 
     The manifest holds the ExhaustionTrace fields; each record entry holds
     the BallRecord fields, with the name of its CSV in place of ``field``.
     """
-    from pathlib import Path
-
-    from .radial import save_field_csv
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []
@@ -434,10 +432,6 @@ def save_trace(trace: ExhaustionTrace, out_dir) -> "Path":
 
 def load_trace(path) -> ExhaustionTrace:
     """Read a trace manifest written by save_trace (path to trace.json)."""
-    from pathlib import Path
-
-    from .radial import load_field_csv
-
     path = Path(path)
     if path.is_dir():
         path = path / "trace.json"

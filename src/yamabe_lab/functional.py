@@ -1,4 +1,4 @@
-"""Yamabe quotients: the Sobolev constant, Aubin bubbles, exterior domains.
+"""Yamabe quotients: Aubin bubbles and exterior domains.
 
 Bubbles are centered at the pole, where the warped metric is exactly
 radial, so every quantity is a one-dimensional quadrature with no
@@ -14,28 +14,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import (area_weight, conformal_coupling, critical_exponent,
-                        sphere_volume)
+                        lambda_constant)
 from .errors import DomainError, StabilizationError
 from .manifold import MetricProfile
 from .radial import RadialField, RadialGrid, lp_norm, yamabe_energy
-
-
-def lambda_constant(n: int) -> float:
-    """Best Sobolev constant on R^n: n(n-2)/4 * omega_n^{2/n}."""
-    if n < 3:
-        raise DomainError(f"dimension must be >= 3, got {n}")
-    return n * (n - 2) / 4.0 * sphere_volume(n) ** (2.0 / n)
-
-
-@dataclass(frozen=True)
-class QuotientReport:
-    """One evaluated quotient Q_s = E / ||.||_s^2."""
-
-    domain: str
-    s: float
-    energy: float
-    norm: float
-    quotient: float
 
 
 @dataclass(frozen=True)
@@ -70,7 +52,7 @@ _BUBBLE_OVERSAMPLE = 64
 _MIN_BUBBLE_NODES = 4096
 
 
-def bubble_quotient(profile: MetricProfile, spec: BubbleSpec) -> QuotientReport:
+def bubble_quotient(profile: MetricProfile, spec: BubbleSpec) -> float:
     """Critical quotient Q_p of the cut-off bubble eta u_alpha centered at
     the pole."""
     if 2.0 * spec.eps > profile.r_max:
@@ -85,11 +67,7 @@ def bubble_quotient(profile: MetricProfile, spec: BubbleSpec) -> QuotientReport:
                                                         grid.nodes)
     phi[-1] = 0.0
     field = RadialField(grid, phi, boundary="dirichlet")
-    energy = yamabe_energy(field, profile)
-    norm = lp_norm(field, s, profile)
-    return QuotientReport(domain=f"ball:{r_out:g}", s=float(s),
-                          energy=energy, norm=norm,
-                          quotient=energy / norm**2)
+    return yamabe_energy(field, profile) / lp_norm(field, s, profile)**2
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,7 @@ class MetricProfile:
         if np.any(r < 0) or np.any(r > self.r_max * (1 + 1e-12)):
             raise DomainError(
                 f"radius outside [0, {self.r_max}] for profile '{self.name}'"
-            )
+                f" (got [{r.min()}, {r.max()}])")
 
 
 # -- closed-form families ----------------------------------------------------
@@ -166,7 +166,7 @@ def power_bump(n: int, a: float, b: float, r_max: float = 40.0) -> MetricProfile
 
 
 def from_table(n: int, r: np.ndarray, f_values: np.ndarray,
-               r_max: float | None = None) -> MetricProfile:
+               r_max: float) -> MetricProfile:
     """Profile from sampled (r, f) pairs; cubic-spline interpolated."""
     from scipy.interpolate import CubicSpline
 
@@ -179,35 +179,44 @@ def from_table(n: int, r: np.ndarray, f_values: np.ndarray,
     if np.max(np.diff(r)) > 0.1 * r[-1]:
         raise ProfileError("table too sparse for stable differentiation")
     spline = CubicSpline(r, f_values)
-    rm = r[-1] if r_max is None else min(r_max, r[-1])
     h = r[1] / 4.0
     c3 = float(spline(h, 2)) / (6.0 * h)
     return MetricProfile(
-        n=n, r_max=rm, name="table",
+        n=n, r_max=min(r_max, r[-1]), name="table",
         f=spline, f_prime=spline.derivative(1), f_second=spline.derivative(2),
         c3=c3,
     )
 
 
-def load_table_csv(n: int, path, r_max=None) -> MetricProfile:
-    """Read a two-column CSV with header ``r,f`` into a table profile."""
+def read_pairs(path, header: str, error) -> np.ndarray:
+    """Rows of a two-column CSV headed ``header`` (such as 'r,f') as an
+    (m, 2) array of finite floats, m >= 2; a bad file raises ``error``
+    naming the file and line."""
     rows = []
     with Path(path).open(newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
-        if [c.strip() for c in header[:2]] != ["r", "f"]:
-            raise ProfileError(f"table {path} must have header 'r,f'")
+        if [c.strip() for c in next(reader, [])[:2]] != header.split(","):
+            raise error(f"{path} must have header '{header}'")
         for row in reader:
             try:
-                rows.append((float(row[0]), float(row[1])))
+                pair = float(row[0]), float(row[1])
+                ok = math.isfinite(pair[0]) and math.isfinite(pair[1])
             except (IndexError, ValueError):
-                raise ProfileError(
-                    f"table {path} line {reader.line_num}: need two numbers "
-                    f"'r,f', got {','.join(row)!r}") from None
-    if not rows:
-        raise ProfileError(f"table {path} holds no (r, f) rows")
-    data = np.asarray(rows)
-    return from_table(n, data[:, 0], data[:, 1], r_max=r_max)
+                ok = False
+            if not ok:
+                raise error(
+                    f"{path} line {reader.line_num}: need two finite numbers "
+                    f"'{header}', got {','.join(row)!r}")
+            rows.append(pair)
+    if len(rows) < 2:
+        raise error(f"{path} holds fewer than two '{header}' rows")
+    return np.asarray(rows)
+
+
+def load_table_csv(n: int, path, r_max: float) -> MetricProfile:
+    """Read a two-column CSV with header ``r,f`` into a table profile."""
+    r, f_values = read_pairs(path, "r,f", ProfileError).T
+    return from_table(n, r, f_values, r_max=r_max)
 
 
 # Each closed-form family with the params it takes from a config, beyond
@@ -231,10 +240,9 @@ def _check_params(name: str, params: dict, expected: tuple) -> None:
             f"numbers, got {params!r}")
 
 
-def make_profile(name: str, n: int, r_max: float, params: dict | None = None,
-                 table_path=None) -> MetricProfile:
+def make_profile(name: str, n: int, r_max: float, params: dict,
+                 table_path) -> MetricProfile:
     """Build a profile from config-style fields."""
-    params = params or {}
     if name == "table":
         _check_params(name, params, ())
         if table_path is None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import area_weight, conformal_coupling
 from .errors import DomainError
-from .manifold import MetricProfile
+from .manifold import MetricProfile, read_pairs
 
 MIN_INTERVALS = 32
 
@@ -77,12 +77,6 @@ class RadialField:
         return replace(self, values=np.asarray(values, dtype=float))
 
 
-def _check_compatible(u: RadialField, profile: MetricProfile):
-    if u.grid.j > profile.r_max * (1 + 1e-12):
-        raise DomainError(
-            f"grid radius {u.grid.j} exceeds profile r_max {profile.r_max}")
-
-
 # -- quadrature --------------------------------------------------------------
 
 
@@ -113,14 +107,14 @@ def lp_norm(u: RadialField, s: float, profile: MetricProfile) -> float:
     """L^s(g) norm by trapezoid quadrature; s >= 1."""
     if s < 1:
         raise DomainError(f"exponent s must be >= 1, got {s}")
-    _check_compatible(u, profile)
+    profile.check_radius(u.grid.j)
     weights = node_weights(u.grid, profile)
     return float(weights @ np.abs(u.values) ** s) ** (1.0 / s)
 
 
 def gradient_energy(u: RadialField, profile: MetricProfile) -> float:
     """int |u'|^2 dV_g from interval midpoints (the discrete Dirichlet form)."""
-    _check_compatible(u, profile)
+    profile.check_radius(u.grid.j)
     h = u.grid.h
     diffs = np.diff(u.values) / h
     return float(midpoint_weights(u.grid, profile) @ diffs**2 * h)
@@ -134,7 +128,6 @@ def yamabe_energy(u: RadialField, profile: MetricProfile) -> float:
     """
     if u.boundary != "dirichlet":
         raise DomainError("yamabe_energy needs a dirichlet-zero field")
-    _check_compatible(u, profile)
     c = conformal_coupling(profile.n)
     curvature = np.asarray(profile.scalar_curvature(u.grid.nodes), dtype=float)
     mass = integrate(c * curvature * u.values**2, u.grid, profile)
@@ -153,22 +146,9 @@ def save_field_csv(u: RadialField, path) -> None:
 
 
 def load_field_csv(path, boundary="free") -> RadialField:
-    rows = []
-    with Path(path).open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        if [c.strip() for c in header[:2]] != ["r", "u"]:
-            raise DomainError(f"field file {path} must have header 'r,u'")
-        for row in reader:
-            if len(row) < 2:
-                raise DomainError(f"field file {path}: short row {row}")
-            rows.append((float(row[0]), float(row[1])))
-    if len(rows) < 2:
-        raise DomainError(f"field file {path} needs at least two rows")
-    data = np.asarray(rows)
-    r, values = data[:, 0], data[:, 1]
+    r, values = read_pairs(path, "r,u", DomainError).T
     steps = np.diff(r)
     if not np.allclose(steps, steps[0], rtol=1e-8, atol=1e-12):
-        raise DomainError("field grid must be uniform")
+        raise DomainError(f"{path}: field grid must be uniform")
     grid = RadialGrid(j=float(r[-1]), N=len(r) - 1, r_lo=float(r[0]))
     return RadialField(grid, values, boundary=boundary)

@@ -64,9 +64,7 @@ class DiscreteOperator:
     """Energy matrix A (tridiagonal, all nodes) and quadrature weights."""
 
     def __init__(self, profile: MetricProfile, grid: RadialGrid):
-        if grid.j > profile.r_max * (1 + 1e-12):
-            raise DomainError(
-                f"grid radius {grid.j} exceeds r_max {profile.r_max}")
+        profile.check_radius(grid.j)
         self.profile = profile
         self.grid = grid
         h = grid.h
@@ -338,8 +336,8 @@ def solve_subcritical(op: DiscreteOperator, s: float,
 # -- continuation to the critical exponent -----------------------------------
 
 
-def default_schedule(n: int, s_start: float = 2.5, count: int = 16,
-                     eps_s: float = 1e-3) -> list[float]:
+def default_schedule(n: int, s_start: float, count: int,
+                     eps_s: float) -> list[float]:
     """Geometric schedule s_k -> p (1 - eps_s), increasing and below p."""
     p = critical_exponent(n)
     if not eps_s > 0.0:

@@ -20,11 +20,9 @@ import pytest
 
 from yamabe_lab import manifold
 from yamabe_lab.config import load_config, profile_from_config
-from yamabe_lab.constants import critical_exponent
 from yamabe_lab.errors import InfeasibleExponentError
-from yamabe_lab.exhaustion import (boundary_bound, concentration_verdict,
-                                   exponent_formulas, run_exhaustion,
-                                   subsolution_check)
+from yamabe_lab.exhaustion import (boundary_bound, exponent_formulas,
+                                   run_exhaustion)
 from yamabe_lab.functional import (BubbleSpec, bubble_quotient,
                                    exterior_quotient, lambda_constant,
                                    scalar_lower_bound)
@@ -117,8 +115,7 @@ def test_criterion_03_bubble_excess_rates():
     for n in (3, 4, 5):
         profile = manifold.euclidean(n, r_max=10.0)
         lam = lambda_constant(n)
-        excesses = [bubble_quotient(profile,
-                                    BubbleSpec(alpha=a, eps=0.5)).quotient
+        excesses = [bubble_quotient(profile, BubbleSpec(alpha=a, eps=0.5))
                     - lam for a in alphas]
         rate = float(np.polyfit(np.log(alphas), np.log(excesses), 1)[0])
         lo, hi = bands[n]

@@ -219,22 +219,38 @@ def test_blowup_command(flat_config, exhaust_out, capsys):
 # -- determinism (byte-identical modulo timestamp) ---------------------------
 
 
-def test_cold_bubble_imports_no_scipy(configs_dir):
-    # The cold bubble path needs numpy only; scipy alone would more than
-    # double a fresh process's wall time.  -X importtime logs every
-    # module the run imports, including the lazy ones.
+def _cold_imports(*argv) -> list:
+    """Every module a fresh ``yamabe-lab`` process running argv imports,
+    the lazy ones included, as -X importtime logs them."""
     src = str(Path(yamabe_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "yamabe_lab.cli",
-         "bubble", "--config", str(configs_dir / "flat3.json")],
+        [sys.executable, "-X", "importtime", "-m", "yamabe_lab.cli", *argv],
         capture_output=True, text=True, env=env, check=True)
-    imported = [line.rsplit("|", 1)[1].strip()
-                for line in proc.stderr.splitlines()
-                if line.startswith("import time:")]
+    return [line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")]
+
+
+def test_cold_bubble_imports_no_scipy(configs_dir):
+    # The cold bubble path needs numpy only; scipy alone would more than
+    # double a fresh process's wall time.
+    imported = _cold_imports("bubble", "--config",
+                             str(configs_dir / "flat3.json"))
     assert "yamabe_lab.functional" in imported
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
+
+def test_cold_blowup_imports_no_quotients(configs_dir, exhaust_out):
+    # blowup takes Lambda(n) from constants: a cold blowup --field loads
+    # neither the quotient module nor the solver.
+    imported = _cold_imports("blowup", "--config",
+                             str(configs_dir / "flat3.json"),
+                             "--field", str(exhaust_out / "field_j4.csv"))
+    assert "yamabe_lab.blowup" in imported
+    assert "yamabe_lab.functional" not in imported
+    assert "yamabe_lab.subcritical" not in imported
 
 
 def test_exhaust_rerun_byte_identical(flat_config, tmp_path, capsys):
@@ -287,6 +303,10 @@ def test_unknown_profile_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+# f(r) = r on [0, 1]: a table the spline accepts.
+_TABLE = "r,f\n" + "".join(f"{k / 20},{k / 20}\n" for k in range(21))
+
+
 @pytest.mark.parametrize("block", [
     {"profile": {"n": "3"}},
     {"grid": {"nodes_per_unit": -5}},
@@ -306,6 +326,12 @@ def test_unknown_profile_exits_one(tmp_path, capsys):
     {"profile": {"name": "table", "table": ""}},
     {"profile": {"name": "table", "table": "r,f\n"}},
     {"profile": {"name": "table", "table": "r,f\n0,0\n0.1,x\n"}},
+    # A nan or inf cell in an otherwise usable table reached scipy's
+    # spline, whose error named neither the file nor the line.
+    {"profile": {"name": "table",
+                 "table": _TABLE.replace("0.5,0.5", "0.5,nan")}},
+    {"profile": {"name": "table",
+                 "table": _TABLE.replace("0.5,0.5", "0.5,inf")}},
 ])
 def test_bad_config_value_exits_one(tmp_path, capsys, block):
     table = block.get("profile", {}).get("table")
@@ -351,6 +377,23 @@ def _one_line_error(code, err, command):
     assert err.startswith(f"error [{command}]: ")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("row", ["0.5,x", "nan,0.5", "0.5,nan", "0.5,inf",
+                                 "0.5"])
+def test_bad_field_csv_exits_one(flat_config, tmp_path, capsys, row):
+    # These rows used to end in a bare ValueError (x), "field grid must be
+    # uniform" (nan in r), a non-finite value error naming no file (nan
+    # or inf in u), or a short-row error naming no line.
+    lines = ["r,u"] + [f"{k / 32},{1 - k / 32}" for k in range(33)]
+    lines[17] = row  # the r = 0.5 row, line 18 of the file
+    path = tmp_path / "field.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["blowup", "--config", flat_config, "--field", str(path)])
+    err = capsys.readouterr().err
+    _one_line_error(code, err, "blowup")
+    assert err.startswith("error [blowup]: DomainError")
+    assert f"{path} line 18" in err
 
 
 @pytest.mark.parametrize("profile", [

@@ -7,15 +7,14 @@ import pytest
 from scipy.integrate import quad
 
 from yamabe_lab import functional, manifold
-from yamabe_lab.constants import conformal_coupling, critical_exponent
+from yamabe_lab.constants import conformal_coupling
 from yamabe_lab.errors import DomainError, StabilizationError
-from yamabe_lab.functional import (BubbleSpec, QuotientReport,
-                                   bubble_quotient, bubble_values,
+from yamabe_lab.functional import (BubbleSpec, bubble_quotient, bubble_values,
                                    cylinder_length, exterior_quotient,
                                    lambda_constant, radial_cylinder_quotient,
                                    scalar_lower_bound)
 from yamabe_lab.manifold import MetricProfile
-from yamabe_lab.radial import RadialField, RadialGrid, lp_norm, yamabe_energy
+from yamabe_lab.radial import RadialGrid
 from yamabe_lab.subcritical import continue_to_critical
 
 
@@ -41,8 +40,8 @@ def test_flat_bubble_quotient_above_lambda():
     # above Lambda and approaches it as alpha -> 0.
     prof = manifold.euclidean(3, r_max=10.0)
     lam = lambda_constant(3)
-    q_coarse = bubble_quotient(prof, BubbleSpec(alpha=0.2, eps=0.5)).quotient
-    q_fine = bubble_quotient(prof, BubbleSpec(alpha=0.002, eps=0.5)).quotient
+    q_coarse = bubble_quotient(prof, BubbleSpec(alpha=0.2, eps=0.5))
+    q_fine = bubble_quotient(prof, BubbleSpec(alpha=0.002, eps=0.5))
     assert q_coarse > q_fine > lam
     # the n = 3 excess decays like alpha (~4.3 alpha measured), so the
     # quotient is within 1% of Lambda only for quite small alpha
@@ -102,13 +101,13 @@ def test_flat_bubble_excess_matches_quad(monkeypatch):
     slope = float(np.polyfit(np.log(alphas), np.log(oracle), 1)[0])
     assert 3.0 - 0.35 <= slope <= 3.0 + 0.35
     for a, want in zip(alphas[:2], oracle[:2]):
-        got = bubble_quotient(prof, BubbleSpec(alpha=a, eps=eps)).quotient
+        got = bubble_quotient(prof, BubbleSpec(alpha=a, eps=eps))
         assert got - lam == pytest.approx(want, rel=0.01)
     errors = []
     for nodes in (4096, 8192, 16384):
         monkeypatch.setattr(functional, "_MIN_BUBBLE_NODES", nodes)
         got = bubble_quotient(prof, BubbleSpec(alpha=alphas[2], eps=eps))
-        errors.append(abs(got.quotient - lam - oracle[2]) / oracle[2])
+        errors.append(abs(got - lam - oracle[2]) / oracle[2])
     assert errors[2] < 0.01
     for coarse, fine in zip(errors, errors[1:]):
         assert 1.8 <= math.log2(coarse / fine) <= 2.2
@@ -290,29 +289,3 @@ def test_scalar_lower_bound_bump_oracle():
     assert not low.divergent
     assert low.value == pytest.approx(oracle, rel=1e-3)
     assert low.value < 0.0
-
-
-# -- explicit quotient reports -----------------------------------------------
-
-
-def quotient_of(field: RadialField, profile, s=None, domain=""):
-    """QuotientReport for an explicit dirichlet field."""
-    if s is None:
-        s = critical_exponent(profile.n)
-    energy = yamabe_energy(field, profile)
-    norm = lp_norm(field, s, profile)
-    return QuotientReport(domain=domain or f"ball:{field.grid.j:g}",
-                          s=float(s), energy=energy, norm=norm,
-                          quotient=energy / norm**2)
-
-
-def test_quotient_of_matches_manual():
-    prof = manifold.euclidean(3, r_max=4.0)
-    grid = RadialGrid(j=1.0, N=256)
-    vals = np.cos(math.pi / 2.0 * grid.nodes)
-    vals[-1] = 0.0
-    u = RadialField(grid, vals, boundary="dirichlet")
-    rep = quotient_of(u, prof)
-    assert rep.quotient == pytest.approx(
-        yamabe_energy(u, prof) / lp_norm(u, 6.0, prof) ** 2, rel=1e-12)
-    assert rep.s == 6.0

@@ -1,13 +1,18 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module, test or script imports is used in that
+file."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "yamabe_lab"
-MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py")
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "yamabe_lab").glob("*.py")
                  if p.name != "__init__.py")
+# Test and script file names differ from every module name, so the bare
+# file name stays a unique test id.
+SOURCES = MODULES + sorted((ROOT / "tests").glob("*.py")) \
+    + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list:
@@ -27,7 +32,7 @@ def _unused_imports(source: str) -> list:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert _unused_imports(path.read_text()) == []
 

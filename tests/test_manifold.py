@@ -170,7 +170,7 @@ def test_table_profile_roundtrip(tmp_path):
     path = tmp_path / "sinh.csv"
     lines = ["r,f"] + [f"{ri},{math.sinh(ri)}" for ri in r]
     path.write_text("\n".join(lines) + "\n")
-    prof = manifold.load_table_csv(3, path)
+    prof = manifold.load_table_csv(3, path, r_max=5.0)
     assert prof.name == "table"
     # Spline interpolation reproduces the function and its curvature.
     assert float(prof.f(2.345)) == pytest.approx(math.sinh(2.345), rel=1e-8)
@@ -181,19 +181,22 @@ def test_table_requires_header_and_density(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,y\n0,0\n1,1\n")
     with pytest.raises(ProfileError):
-        manifold.load_table_csv(3, path)
+        manifold.load_table_csv(3, path, r_max=1.0)
     with pytest.raises(ProfileError):
-        manifold.from_table(3, np.linspace(0, 1, 5), np.linspace(0, 1, 5))
+        manifold.from_table(3, np.linspace(0, 1, 5), np.linspace(0, 1, 5),
+                            r_max=1.0)
 
 
 def test_make_profile_dispatch():
     prof = manifold.make_profile("power_bump", n=4, r_max=12.0,
-                                 params={"a": 1.0, "b": 1.0})
+                                 params={"a": 1.0, "b": 1.0}, table_path=None)
     assert prof.n == 4 and prof.name == "power_bump"
     with pytest.raises(ProfileError):
-        manifold.make_profile("moebius", n=3, r_max=1.0)
+        manifold.make_profile("moebius", n=3, r_max=1.0, params={},
+                              table_path=None)
     with pytest.raises(ProfileError):
-        manifold.make_profile("table", n=3, r_max=1.0)
+        manifold.make_profile("table", n=3, r_max=1.0, params={},
+                              table_path=None)
 
 
 @pytest.mark.parametrize("name, params", [
@@ -210,4 +213,5 @@ def test_make_profile_dispatch():
 def test_make_profile_checks_params(name, params):
     # Each family takes exactly its own params, as finite real numbers.
     with pytest.raises(ProfileError, match=f"profile '{name}' takes params"):
-        manifold.make_profile(name, n=3, r_max=10.0, params=params)
+        manifold.make_profile(name, n=3, r_max=10.0, params=params,
+                              table_path=None)

@@ -11,7 +11,7 @@ from yamabe_lab import manifold
 from yamabe_lab.errors import DomainError
 from yamabe_lab.radial import (RadialField, RadialGrid, gradient_energy,
                                integrate, load_field_csv, lp_norm,
-                               node_weights, save_field_csv, yamabe_energy)
+                               save_field_csv, yamabe_energy)
 from yamabe_lab.subcritical import DiscreteOperator
 
 
@@ -128,6 +128,34 @@ def test_yamabe_energy_mass_term_sign():
     vals[-1] = 0.0
     u = RadialField(grid, vals, boundary="dirichlet")
     assert yamabe_energy(u, prof) < gradient_energy(u, prof)
+
+
+# Each entry point that integrates against the profile, as a call on
+# (field, profile).
+_RADIUS_CHECKED = {
+    "lp_norm": lambda u, prof: lp_norm(u, 2.0, prof),
+    "gradient_energy": gradient_energy,
+    "yamabe_energy": yamabe_energy,
+    "DiscreteOperator": lambda u, prof: DiscreteOperator(prof, u.grid),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RADIUS_CHECKED))
+def test_entry_points_check_r_max(name):
+    # MetricProfile.check_radius guards each one: a grid ending at r_max
+    # is accepted, a grid past it is a DomainError.
+    prof = manifold.euclidean(3, r_max=2.0)
+
+    def field(j):
+        grid = RadialGrid(j=j, N=64)
+        vals = 1.0 - (grid.nodes / j) ** 2
+        vals[-1] = 0.0
+        return RadialField(grid, vals, boundary="dirichlet")
+
+    call = _RADIUS_CHECKED[name]
+    call(field(2.0), prof)
+    with pytest.raises(DomainError, match="radius outside"):
+        call(field(2.5), prof)
 
 
 @settings(max_examples=20, deadline=None)

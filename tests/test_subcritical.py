@@ -146,16 +146,16 @@ def test_lambda_s_domain_monotone_fixed_s():
 
 
 def test_default_schedule_shape():
-    sched = default_schedule(3)
+    sched = default_schedule(3, s_start=2.5, count=16, eps_s=1e-3)
     p = critical_exponent(3)
     assert len(sched) == 16
     assert sched == sorted(sched)
     assert sched[0] == pytest.approx(2.5)
     assert sched[-1] == pytest.approx(p * (1 - 1e-3))
     with pytest.raises(DomainError):
-        default_schedule(3, s_start=1.5)
+        default_schedule(3, s_start=1.5, count=16, eps_s=1e-3)
     with pytest.raises(DomainError):
-        default_schedule(3, count=2)
+        default_schedule(3, s_start=2.5, count=2, eps_s=1e-3)
 
 
 def test_flat_continuation_concentrates_near_lambda():
@@ -194,7 +194,7 @@ def test_default_schedule_rejects_bad_eps_s(eps_s):
     # below s_start: all are domain errors that name eps_s, so every
     # schedule the continuation runs increases and stays below p.
     with pytest.raises(DomainError, match="eps_s"):
-        default_schedule(3, eps_s=eps_s)
+        default_schedule(3, s_start=2.5, count=16, eps_s=eps_s)
 
 
 # -- per-grid invariants: one operator per continuation ----------------------
