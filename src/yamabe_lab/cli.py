@@ -72,6 +72,10 @@ AUBIN_TOL = 0.01
 EXTERIOR_ABOVE_AUBIN = "exterior_above_aubin"
 INCONCLUSIVE_ABOVE_AUBIN = ("inconclusive: exterior estimate above "
                             "Lambda(n), which Aubin's bound forbids")
+# The existence condition asks Y < Y_inf (1 - REQUIRED_MARGIN); the bubble
+# test functions are cut off at radius 2 BUBBLE_EPS.
+REQUIRED_MARGIN = 0.05
+BUBBLE_EPS = 0.5
 
 
 def _above_aubin(y_inf: float, n: int) -> bool:
@@ -133,9 +137,9 @@ def cmd_constants(config: RunConfig, args) -> dict:
     margin = (y_inf_est - y_est) / abs(y_inf_est) if y_inf_est else float("nan")
     condition = {
         "margin": margin,
-        "required_margin": config.pipeline.margin,
+        "required_margin": REQUIRED_MARGIN,
         "holds": bool(y_inf_est > 0
-                      and y_est < y_inf_est - config.pipeline.margin
+                      and y_est < y_inf_est - REQUIRED_MARGIN
                       * abs(y_inf_est)),
     }
     reason = None
@@ -144,7 +148,7 @@ def cmd_constants(config: RunConfig, args) -> dict:
         verdict, reason = INCONCLUSIVE_ABOVE_AUBIN, EXTERIOR_ABOVE_AUBIN
     elif condition["holds"]:
         verdict = "condition holds"
-    elif abs(margin) <= config.pipeline.margin:
+    elif abs(margin) <= REQUIRED_MARGIN:
         verdict = "condition fails: Y = Y_inf within margin"
     else:
         verdict = "condition fails: Y >= Y_inf"
@@ -216,8 +220,7 @@ def cmd_decay(config: RunConfig, args) -> dict:
         payload["verdict"] = ("hypothesis fails: exponential volume growth "
                               "(no polynomial rho)")
         return payload
-    rho = config.pipeline.rho if config.pipeline.rho is not None \
-        else max(growth.rho, 0.0)
+    rho = max(growth.rho, 0.0)
     y_est = trace.largest.y
     y_inf = exterior_quotient(profile, config.pipeline.r_in[-1]).value
     if _above_aubin(y_inf, profile.n):
@@ -248,11 +251,10 @@ def cmd_bubble(config: RunConfig, args) -> dict:
     profile = profile_from_config(config)
     lam = lambda_constant(config.profile.n)
     alphas = sorted(config.pipeline.alphas, reverse=True)
-    eps = config.pipeline.eps
 
     rows = []
     for alpha in alphas:
-        quotient = bubble_quotient(profile, BubbleSpec(alpha=alpha, eps=eps))
+        quotient = bubble_quotient(profile, BubbleSpec(alpha, BUBBLE_EPS))
         rows.append({"alpha": alpha, "quotient": quotient,
                      "excess": quotient - lam})
     excesses = [row["excess"] for row in rows]
@@ -260,7 +262,7 @@ def cmd_bubble(config: RunConfig, args) -> dict:
     if len(rows) >= 2 and all(e > 0 for e in excesses):
         rate = float(np.polyfit(np.log([r["alpha"] for r in rows]),
                                 np.log(excesses), 1)[0])
-    payload = {"lambda": lam, "eps": eps, "quotients": rows,
+    payload = {"lambda": lam, "eps": BUBBLE_EPS, "quotients": rows,
                "fitted_rate": rate}
     print(f"  excess rate: {rate}", file=sys.stderr)
     return payload
@@ -277,9 +279,7 @@ def cmd_blowup(config: RunConfig, args) -> dict:
     profile = profile_from_config(config)
     n = config.profile.n
     field = load_field_csv(args.field)
-    y_value = config.pipeline.y_value
-    if y_value is None:
-        y_value = lambda_constant(n)
+    y_value = lambda_constant(n)
     rs = rescale(field, profile)
     reference = standard_bubble(n, y_value, np.abs(rs.x))
     sup_diff = float(np.max(np.abs(rs.values - reference)))

@@ -55,11 +55,7 @@ class PipelineConfig:
     r_in: tuple = (2.0, 4.0)
     compact_radius: float = 1.0
     window_frac: float = 0.5
-    margin: float = 0.05
-    eps: float = 0.5
     alphas: tuple = (0.1, 0.05, 0.025)
-    rho: float | None = None      # volume-growth exponent override
-    y_value: float | None = None  # blow-up comparison Y override
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .errors import DomainError, InfeasibleExponentError, MonotonicityError
 from .manifold import MetricProfile
 from .radial import (RadialField, RadialGrid, load_field_csv, lp_norm,
                      save_field_csv)
-from .subcritical import (ContinuationResult, DiscreteOperator, _odd_power,
+from .subcritical import (ContinuationResult, DiscreteOperator,
                           continue_to_critical)
 
 BOUNDARY_LAYER = 0.125  # thickness of U_j = {d(x, boundary) < 1/8}, fixed
@@ -125,8 +125,7 @@ def run_exhaustion(profile: MetricProfile, radii, nodes_per_unit: int = 128,
         raise DomainError("exhaustion needs >= 3 radii")
     if radii != sorted(radii) or len(set(radii)) != len(radii):
         raise DomainError("radii must strictly increase")
-    if radii[-1] > profile.r_max:
-        raise DomainError(f"largest radius exceeds r_max = {profile.r_max}")
+    profile.check_radius(radii[-1])
     records = []
     for j in radii:
         grid = RadialGrid(j=j, N=max(64, int(round(nodes_per_unit * j))))
@@ -173,8 +172,7 @@ def subsolution_check(trace: ExhaustionTrace, j: float,
     """
     rec = trace.record_for(j)
     big_j = _EXTENSION_FACTOR * j
-    if big_j > profile.r_max:
-        raise DomainError(f"extension radius {big_j} exceeds r_max")
+    profile.check_radius(big_j)
     p = critical_exponent(profile.n)
     if rec.y_critical is not None:
         s_eq, lam_eq = p, rec.y_critical
@@ -190,7 +188,7 @@ def subsolution_check(trace: ExhaustionTrace, j: float,
     values[:rec.field.grid.N + 1] = rec.field.values
     op = DiscreteOperator(profile, big)
     u = values[op.lo:op.hi]
-    weak = op.apply(u) - lam_eq * op.weights() * _odd_power(u, s_eq - 1.0)
+    _, weak = op.residual(u, s_eq, lam_eq)
     scale = max(1.0, float(np.max(np.abs(lam_eq) * op.weights()
                                   * np.abs(u) ** (s_eq - 1.0))))
     tol = _SUBSOLUTION_TOL_REL * scale

@@ -37,7 +37,6 @@ class MetricProfile:
     n: int
     r_max: float
     name: str
-    params: tuple = ()
     f: Callable = field(repr=False, default=None)
     f_prime: Callable = field(repr=False, default=None)
     f_second: Callable = field(repr=False, default=None)
@@ -160,8 +159,8 @@ def power_bump(n: int, a: float, b: float, r_max: float = 40.0) -> MetricProfile
         return a * e * (6.0 * r - 14.0 * b * r**3 + 4.0 * b**2 * r**5)
 
     return MetricProfile(
-        n=n, r_max=r_max, name="power_bump", params=(("a", a), ("b", b)),
-        f=f, f_prime=fp, f_second=fpp, c3=a,
+        n=n, r_max=r_max, name="power_bump", f=f, f_prime=fp,
+        f_second=fpp, c3=a,
     )
 
 

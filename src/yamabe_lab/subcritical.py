@@ -60,8 +60,14 @@ def solve_banded(l_and_u, ab, b):
 # -- discrete operator -------------------------------------------------------
 
 
+def _odd_power(u, q):
+    """|u|^q sign(u): the odd extension of t^q, smooth enough for Newton."""
+    return np.sign(u) * np.abs(u) ** q
+
+
 class DiscreteOperator:
-    """Energy matrix A (tridiagonal, all nodes) and quadrature weights."""
+    """Energy matrix A (tridiagonal, all nodes), quadrature weights W, and
+    the discrete functional: energy, L^s constraint, weak residual."""
 
     def __init__(self, profile: MetricProfile, grid: RadialGrid):
         profile.check_radius(grid.j)
@@ -123,6 +129,27 @@ class DiscreteOperator:
     def weights(self):
         return self._w_u
 
+    def constraint(self, u_unknown, s: float) -> float:
+        """sum_i W_i |u_i|^s: the discrete L^s norm to the power s."""
+        return float(self._w_u @ np.abs(u_unknown) ** s)
+
+    def normalize(self, u_unknown, s: float):
+        """u scaled to unit L^s norm; ConvergenceError if that norm is zero
+        or not finite."""
+        norm = self.constraint(u_unknown, s) ** (1.0 / s)
+        if norm == 0.0 or not np.isfinite(norm):
+            raise ConvergenceError("iterate collapsed to zero",
+                                   last_iterate=self.full_values(u_unknown))
+        return u_unknown / norm
+
+    def residual(self, u_unknown, s: float, lam: float | None = None):
+        """(lam, A u - lam W |u|^{s-2} u), the weak Euler-Lagrange residual;
+        lam defaults to the Rayleigh multiplier u^T A u, from the same A u."""
+        au = self.apply(u_unknown)
+        if lam is None:
+            lam = float(u_unknown @ au)
+        return lam, au - lam * self._w_u * _odd_power(u_unknown, s - 1.0)
+
     def strong_norm(self, residual_vector) -> float:
         """Discrete L^2 norm of a residual given in weak (weighted) form."""
         return math.sqrt((residual_vector**2 / self._w_strong).sum())
@@ -171,44 +198,28 @@ class SubcriticalSolution:
     iterations: int
 
 
-def _odd_power(u, q):
-    """|u|^q sign(u): the odd extension of t^q, smooth enough for Newton."""
-    return np.sign(u) * np.abs(u) ** q
-
-
 def _projected_gradient(op: DiscreteOperator, s: float, u0):
     """Constrained descent warm-up: minimize u^T A u on the L^s sphere.
 
     Barzilai-Borwein steps with projection onto the nonnegative cone
-    (admissible: the ground state is nonnegative).  Used to relocate a
-    stalled Newton iterate.
+    (admissible: the ground state is nonnegative); the gradient is the
+    weak residual.  Used to relocate a stalled Newton iterate.
     """
-    w = op.weights()
-
-    def normalize(u):
-        norm = float(w @ u**s) ** (1.0 / s)
-        return u / norm if norm > 0 and np.isfinite(norm) else None
-
-    u = normalize(np.maximum(u0, 0.0))
-    if u is None:
-        raise ConvergenceError("projected gradient got a zero start",
-                               last_iterate=op.full_values(np.zeros_like(u0)))
+    u = op.normalize(np.maximum(u0, 0.0), s)
     step = 1.0 / max(1.0, float(np.max(np.abs(op.diag))))
     u_old = grad_old = None
     for _ in range(_PG_ITERS):
-        au = op.apply(u)
-        lam = float(u @ au)
-        grad = au - lam * w * u ** (s - 1.0)
+        _, grad = op.residual(u, s)
         if u_old is not None:
             du, dg = u - u_old, grad - grad_old
             denom = float(du @ dg)
             if denom > 1e-300:
                 step = float(du @ du) / denom
         u_old, grad_old = u, grad
-        u_new = normalize(np.maximum(u - step * grad, 0.0))
-        if u_new is None:
+        try:
+            u = op.normalize(np.maximum(u - step * grad, 0.0), s)
+        except ConvergenceError:
             return u_old
-        u = u_new
     return u
 
 
@@ -232,24 +243,11 @@ def solve_subcritical(op: DiscreteOperator, s: float,
     if np.max(u) <= 0:
         raise DomainError("init must be positive in the interior")
 
-    def normalize(vec):
-        norm_s = float(w @ np.abs(vec) ** s) ** (1.0 / s)
-        if norm_s == 0.0 or not np.isfinite(norm_s):
-            raise ConvergenceError("iterate collapsed to zero",
-                                   last_iterate=op.full_values(vec))
-        return vec / norm_s
-
-    def rayleigh_and_residual(vec):
-        # One A u serves both lam = u^T A u and the weak residual.
-        au = op.apply(vec)
-        lam = float(vec @ au)
-        return lam, au - lam * w * _odd_power(vec, s - 1.0)
-
     def newton_from(u, stall_limit):
         # stall_limit: exhausted line searches in a row that end the run
         # (None: the run may use all max_iters iterations).
-        u = normalize(u)
-        lam, res = rayleigh_and_residual(u)
+        u = op.normalize(u, s)
+        lam, res = op.residual(u, s)
         res_norm = op.strong_norm(res)
         iterations = stalled = 0
         for iterations in range(1, max_iters + 1):
@@ -268,15 +266,15 @@ def solve_subcritical(op: DiscreteOperator, s: float,
             # Bordered system: the normalization row fixes dlam.
             g_row = s * w * phi
             denom = float(g_row @ x_lam)
-            g_res = float(w @ np.abs(u) ** s) - 1.0
+            g_res = op.constraint(u, s) - 1.0
             dlam = ((g_res - float(g_row @ x_res)) / denom) \
                 if denom != 0.0 else 0.0
             du = -x_res - dlam * x_lam
 
             step = 1.0
             for _ in range(_MAX_HALVINGS + 1):
-                u_try = normalize(u + step * du)
-                lam_try, res_try = rayleigh_and_residual(u_try)
+                u_try = op.normalize(u + step * du, s)
+                lam_try, res_try = op.residual(u_try, s)
                 norm_try = op.strong_norm(res_try)
                 if norm_try < res_norm or step < 2.0**-_MAX_HALVINGS:
                     break
@@ -299,7 +297,7 @@ def solve_subcritical(op: DiscreteOperator, s: float,
                     last_iterate=op.full_values(u))
         return u, lam, res_norm, iterations
 
-    def run_restarts(u, stall_limit=None):
+    def run_restarts(u, stall_limit):
         # Newton may land on a sign-changing critical point (seen on wide
         # annuli); restarting from |u| pushes it toward the ground state.
         for _ in range(3):
@@ -312,7 +310,7 @@ def solve_subcritical(op: DiscreteOperator, s: float,
             last_iterate=op.full_values(u))
 
     try:
-        u, lam, res_norm, iterations = run_restarts(u)
+        u, lam, res_norm, iterations = run_restarts(u, None)
     except ConvergenceError as exc:
         # Newton can stall between energy basins (multi-well profiles);
         # a projected-gradient descent phase relocates the iterate before
@@ -322,11 +320,8 @@ def solve_subcritical(op: DiscreteOperator, s: float,
         # a row run out of halvings: on the benchmark's ball inputs every
         # retry that got there went on to fail, and the ones that
         # converged had at most three such searches in a row.
-        start = np.maximum(np.asarray(exc.last_iterate)[op.lo:op.hi], 0.0)
-        if float(np.max(start)) <= 0.0:
-            raise
-        u, lam, res_norm, iterations = run_restarts(
-            _projected_gradient(op, s, start), _STALL_ITERS)
+        u, lam, res_norm, iterations = run_restarts(_projected_gradient(
+            op, s, exc.last_iterate[op.lo:op.hi]), _STALL_ITERS)
     field = RadialField(op.grid, op.full_values(np.maximum(u, 0.0)),
                         boundary="dirichlet")
     return SubcriticalSolution(field=field, lam=lam, s=s,

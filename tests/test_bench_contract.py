@@ -36,3 +36,26 @@ def test_workload_first_op_passes(name, tmp_path):
     raw = workload.call(0)
     outcome = workload.check(0, raw)
     assert outcome.ok, (outcome.problems, outcome.declined)
+
+
+@pytest.mark.parametrize("name, counters", [
+    ("balls", [("subcritical.solve", "iterations"),
+               ("subcritical.continuation", "steps")]),
+    ("exterior", [("functional.exterior", "steps")]),
+])
+def test_workload_first_op_traced(name, counters, tmp_path):
+    # The --trace hooks read fields of the returned objects; a field a
+    # hook needs that goes missing fails here.
+    workload = workloads.WORKLOADS[name](REPO_ROOT, 1, tmp_path)
+    workload.warm_up()
+    recorder = tracer.Tracer()
+    recorder.install()
+    try:
+        raw = workload.call(0)
+    finally:
+        recorder.uninstall()
+    outcome = workload.check(0, raw)
+    assert outcome.ok, (outcome.problems, outcome.declined)
+    totals = tracer.layer_totals(recorder.spans)
+    for span, counter in counters:
+        assert totals[span][counter] > 0, (span, counter)

@@ -310,10 +310,10 @@ _TABLE = "r,f\n" + "".join(f"{k / 20},{k / 20}\n" for k in range(21))
 @pytest.mark.parametrize("block", [
     {"profile": {"n": "3"}},
     {"grid": {"nodes_per_unit": -5}},
-    # Both used to run the whole pipeline: r_max = inf (JSON's 1e400) died
-    # in cylinder_length, and a NaN margin gave the verdict "Y >= Y_inf".
+    # r_max = inf (JSON's 1e400) used to run the whole pipeline and die in
+    # cylinder_length; non-finite floats are refused when the config loads.
     {"profile": {"r_max": float("inf")}},
-    {"pipeline": {"margin": float("nan")}},
+    {"pipeline": {"window_frac": float("nan")}},
     # An empty r_in ran the whole exhaustion and then died in an
     # IndexError; empty alphas gave bubble an empty table and exit 0.
     {"pipeline": {"r_in": []}},
@@ -332,6 +332,12 @@ _TABLE = "r,f\n" + "".join(f"{k / 20},{k / 20}\n" for k in range(21))
                  "table": _TABLE.replace("0.5,0.5", "0.5,nan")}},
     {"profile": {"name": "table",
                  "table": _TABLE.replace("0.5,0.5", "0.5,inf")}},
+    # Keys that became constants of the CLI (the margin and the bubble
+    # cutoff) or values it computes (rho and Y of the blow-up comparison).
+    {"pipeline": {"margin": 0.05}},
+    {"pipeline": {"eps": 0.5}},
+    {"pipeline": {"rho": 0.0}},
+    {"pipeline": {"y_value": None}},
 ])
 def test_bad_config_value_exits_one(tmp_path, capsys, block):
     table = block.get("profile", {}).get("table")

@@ -66,7 +66,8 @@ def test_shipped_configs_load(configs_dir):
     ({"grid": {"nodes_per_unit": -5}}, "must be positive"),
     ({"grid": 5}, "must be a JSON object"),
     # JSON reads NaN, 1e400 as inf, and a 400-digit int that no float holds
-    ({"pipeline": {"margin": float("nan")}}, "'margin' .* must be float"),
+    ({"pipeline": {"window_frac": float("nan")}},
+     "'window_frac' .* must be float"),
     ({"profile": {"r_max": float("inf")}}, "'r_max' .* must be float"),
     ({"profile": {"r_max": 10**400}}, "'r_max' .* must be float"),
     ({"pipeline": {"radii": [2.0, 4.0, float("nan")]}}, "must be tuple"),
@@ -82,7 +83,7 @@ def test_ints_accepted_for_floats_and_null_for_optionals(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({
         "profile": {"r_max": 30, "table": None},
-        "pipeline": {"radii": [1, 2.5, 4], "rho": None, "y_value": 5},
+        "pipeline": {"radii": [1, 2.5, 4]},
     }))
     cfg = load_config(path)
     assert cfg.profile.r_max == 30 and cfg.pipeline.radii == (1, 2.5, 4)

@@ -82,6 +82,25 @@ def test_subsolution_respects_r_max(flat_trace):
         subsolution_check(flat_trace, 8.0, small)  # extension needs 16
 
 
+def test_radius_checks_take_the_profile_slack():
+    # lp_norm and DiscreteOperator accept radii up to r_max (1 + 1e-12)
+    # through MetricProfile.check_radius; the exhaustion and the
+    # subsolution check's extension radius take the same rule and message.
+    prof = manifold.euclidean(3, 2.0)
+    inside = 1.0 + 1e-13
+    trace = run_exhaustion(prof, (0.5, inside, 2.0 * inside),
+                           nodes_per_unit=32)
+    assert trace.radii[-1] == 2.0 * inside
+    # The extension of u_j at j = 1 + 1e-13 reaches 2 (1 + 1e-13).
+    assert subsolution_check(trace, inside, prof).passed
+    refused = r"radius outside \[0, 2.0\] for profile 'euclidean'"
+    with pytest.raises(DomainError, match=refused):
+        run_exhaustion(prof, (0.5, 1.0, 2.0 * (1.0 + 1e-11)),
+                       nodes_per_unit=32)
+    with pytest.raises(DomainError, match=refused):
+        subsolution_check(trace, trace.largest.j, prof)
+
+
 # -- exponent formulas -------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 
 from yamabe_lab import manifold, subcritical
 from yamabe_lab.constants import conformal_coupling, critical_exponent
-from yamabe_lab.errors import DomainError
+from yamabe_lab.errors import ConvergenceError, DomainError
 from yamabe_lab.radial import (RadialField, RadialGrid, lp_norm,
                                midpoint_weights, node_weights, yamabe_energy)
 from yamabe_lab.subcritical import (DiscreteOperator, continue_to_critical,
@@ -79,10 +79,7 @@ def el_residual(u: RadialField, profile, lam: float, s: float) -> float:
     dirichlet field, through the solver's weak tridiagonal operator, so a
     converged solve reports its own Newton residual."""
     op = DiscreteOperator(profile, u.grid)
-    vec = u.values[op.lo:op.hi]
-    res = op.apply(vec) - lam * op.weights() * np.sign(vec) \
-        * np.abs(vec) ** (s - 1.0)
-    return op.strong_norm(res)
+    return op.strong_norm(op.residual(u.values[op.lo:op.hi], s, lam)[1])
 
 
 @pytest.mark.parametrize("k", range(20))
@@ -287,6 +284,37 @@ def test_operator_apply_and_strong_norm_references(profile, grid):
     assert (w[0] == 0.0) == grid.is_ball
 
 
+@pytest.mark.parametrize("profile, grid", [
+    (manifold.power_bump(3, -0.5, 0.25, 40.0), RadialGrid(j=3.0, N=96)),
+    (manifold.hyperbolic(3, 10.0), RadialGrid(j=4.0, N=80, r_lo=1.5)),
+])
+def test_operator_constraint_normalize_and_residual(profile, grid):
+    # The L^s constraint against the quadrature API, the residual against
+    # the dense matrix, and the normalization's refusal of a zero or
+    # non-finite norm.
+    op = DiscreteOperator(profile, grid)
+    rng = np.random.default_rng(7)
+    s = 3.7
+    u = rng.standard_normal(op.n_unknowns)
+    field = RadialField(grid, op.full_values(u), boundary="dirichlet")
+    assert op.constraint(u, s) == pytest.approx(
+        lp_norm(field, s, profile) ** s, rel=1e-12)
+    v = op.normalize(u, s)
+    assert op.constraint(v, s) == pytest.approx(1.0, rel=1e-12)
+    A = _dense_operator(profile, grid)[op.lo:op.hi, op.lo:op.hi]
+    nonlinear = op.weights() * np.abs(v) ** (s - 2.0) * v
+    atol = 1e-12 * np.max(np.abs(A))
+    lam, res = op.residual(v, s)
+    assert lam == op.energy(v)
+    np.testing.assert_allclose(res, A @ v - lam * nonlinear, rtol=1e-11,
+                               atol=atol)
+    np.testing.assert_allclose(op.residual(v, s, 2.5)[1],
+                               A @ v - 2.5 * nonlinear, rtol=1e-11, atol=atol)
+    for bad in (np.zeros_like(u), np.where(u > 0, np.nan, u)):
+        with pytest.raises(ConvergenceError, match="collapsed to zero"):
+            op.normalize(bad, s)
+
+
 def test_continuation_golden_values():
     # Captured before the operator was hoisted out of the schedule; the
     # solver loop must reproduce every bit.
@@ -441,6 +469,27 @@ def test_retry_recovering_after_exhausted_searches_golden(monkeypatch):
     searches = _retry_searches(log)
     assert 1 <= _longest_exhausted_run(searches) < subcritical._STALL_ITERS
     assert searches[-1] is not None
+
+
+def test_sign_restart_ball_golden_values(monkeypatch):
+    # bump3 B_8 at 128 nodes per unit: the shipped ball whose solve at
+    # s = 4.502802 is relocated and then restarted from |u|, and whose
+    # critical polish fails after a second relocation.
+    result, log = _logged_continuation(
+        monkeypatch, manifold.power_bump(3, -0.5, 0.25, 1e8),
+        RadialGrid(j=8.0, N=1024))
+    assert log.count(None) == 2
+    assert result.lam_values == [
+        0.7957777246808945, 3.754530734627162, 4.6288145867768,
+        5.025562103128696, 5.246412128445048, 5.373501029523253,
+        5.446572791317973, 5.4871292305971435, 5.507707468268741,
+        5.516019524861086, 5.516999715289211, 5.513893865215239,
+        5.508861670871136, 5.503314219426602, 5.498116211927537,
+        5.493724348428151]
+    assert result.y_extrapolated == 5.486855343659872
+    assert result.y_critical is None
+    assert result.concentration_reason.startswith(
+        "critical polish failed: Newton stalled: ")
 
 
 def test_failing_retry_stops_at_stall_limit(monkeypatch):
