@@ -175,10 +175,13 @@ def cmd_constants(config: RunConfig, args) -> dict:
 def cmd_exhaust(config: RunConfig, args) -> dict:
     """Run the exhaustion, persist the trace, and attach the weak-form,
     boundary, and concentration verdicts."""
-    from .exhaustion import (boundary_bound, concentration_verdict,
-                             save_trace, subsolution_check)
+    from .exhaustion import (boundary_bound, check_compact_radius,
+                             concentration_verdict, save_trace,
+                             subsolution_check)
 
     profile = profile_from_config(config)
+    check_compact_radius(config.pipeline.compact_radius,
+                         config.pipeline.radii)
     trace = _run_trace(profile, config)
     out_dir = args.out or "."
     manifest = save_trace(trace, out_dir)
@@ -213,6 +216,10 @@ def cmd_decay(config: RunConfig, args) -> dict:
         raise DomainError("decay needs --trace PATH (from a prior exhaust run)")
     profile = profile_from_config(config)
     trace = load_trace(args.trace)
+    if (trace.profile_name, trace.n) != (profile.name, profile.n):
+        raise DomainError(
+            f"trace {args.trace} is for profile {trace.profile_name} "
+            f"n = {trace.n}, the config for {profile.name} n = {profile.n}")
     j_max = trace.radii[-1]
     growth = volume_growth_exponent(profile, (j_max / 2.0, j_max))
     payload = {"volume_growth": growth._asdict()}

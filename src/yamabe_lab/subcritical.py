@@ -356,23 +356,20 @@ class ContinuationResult:
 
     schedule: list
     lam_values: list
-    y_extrapolated: float = np.nan
-    q_p_witness: float = np.nan
-    y_critical: float | None = None
-    field: RadialField | None = dc_field(repr=False, default=None)
-    concentration: bool = False
-    concentration_reason: str = ""
-    critical_residual: float | None = None
+    q_p_witness: float
+    y_critical: float | None
+    field: RadialField | None = dc_field(repr=False)
+    concentration: bool
+    concentration_reason: str
+    critical_residual: float | None
 
     @property
     def y_best(self) -> float:
-        """Critical multiplier when attained; else the extrapolation; else
-        the critical-quotient witness of the last field (a rigorous upper
-        bound, used when the schedule broke off too early to extrapolate)."""
+        """Critical multiplier when the polish is attained, else the
+        critical-quotient witness of the last solved field.  Either one is
+        the discrete Yamabe quotient of ``field``."""
         if self.y_critical is not None:
             return self.y_critical
-        if np.isfinite(self.y_extrapolated):
-            return self.y_extrapolated
         return self.q_p_witness
 
 
@@ -424,16 +421,6 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
             concentration, reason = True, (
                 f"minimizer narrowed to a grid-scale spike at s = {s:.6f}")
             break
-    solved = schedule[:len(lam_values)]
-
-    # Extrapolation is only meaningful when the schedule got close to p;
-    # a low-s lambda is a gross underestimate of Y, never a stand-in.
-    if len(lam_values) >= 3 and p - solved[-1] <= 0.2 * (p - 2.0):
-        gaps = p - np.asarray(solved[-3:])
-        coeffs = np.polyfit(gaps, lam_values[-3:], 1)
-        y_extrapolated = float(coeffs[1])
-    else:
-        y_extrapolated = np.nan
 
     q_p_witness = np.nan
     final_field = None
@@ -457,9 +444,8 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
             concentration, reason = True, f"critical polish failed: {exc}"
 
     return ContinuationResult(
-        schedule=[float(s) for s in solved],
+        schedule=[float(s) for s in schedule[:len(lam_values)]],
         lam_values=[float(v) for v in lam_values],
-        y_extrapolated=y_extrapolated,
         q_p_witness=float(q_p_witness),
         y_critical=y_critical,
         field=final_field,

@@ -147,8 +147,7 @@ def test_decay_command(flat_config, exhaust_out, capsys):
     assert body["verdict"].startswith("hypothesis fails")
 
 
-def test_decay_exterior_above_aubin_inconclusive(exhaust_out, tmp_path,
-                                                 capsys):
+def test_decay_exterior_above_aubin_inconclusive(tmp_path, capsys):
     # f = r + r^3 grows polynomially but int_2^inf dr/f is finite (the
     # outer half of [2, 1000] adds 1.5e-6 to L = 0.11), so the radial
     # exterior estimate is stabilized far above Lambda(3): no verdict.
@@ -159,10 +158,15 @@ def test_decay_exterior_above_aubin_inconclusive(exhaust_out, tmp_path,
     config.write_text(json.dumps({
         "profile": {"name": "table", "n": 3, "r_max": 1000.0,
                     "table": str(table)},
-        "pipeline": {"r_in": [2.0]},
+        "pipeline": {"radii": [1.0, 2.0, 4.0], "r_in": [2.0],
+                     "compact_radius": 0.5},
     }))
+    out = tmp_path / "exhaust"
+    code, _ = _run(capsys, "exhaust", "--config", str(config),
+                   "--out", str(out))
+    assert code == 0
     code, out = _run(capsys, "decay", "--config", str(config),
-                     "--trace", str(exhaust_out / "trace.json"))
+                     "--trace", str(out / "trace.json"))
     assert code == 0
     body = json.loads(out)["report"]
     assert not body["volume_growth"]["exponential"]
@@ -173,7 +177,7 @@ def test_decay_exterior_above_aubin_inconclusive(exhaust_out, tmp_path,
 
 def test_decay_consistent_on_short_cigar(tmp_path, capsys):
     # Cut at r_max = 18.35 the cigar's exterior quotient sits just above
-    # the ball estimate (Y = 5.48283 < Y_inf = 5.48309), so the
+    # the ball estimate (Y = 5.48164 < Y_inf = 5.48309), so the
     # hypotheses hold and decay reaches the exponent fit.
     config = tmp_path / "cigar.json"
     config.write_text(json.dumps({
@@ -283,6 +287,46 @@ def test_bad_config_key_exits_one(tmp_path, capsys):
 def test_missing_trace_exits_one(flat_config, capsys):
     code, _ = _run(capsys, "decay", "--config", flat_config)
     assert code == 1
+
+
+def test_decay_incomplete_trace_exits_one(exhaust_out, tmp_path, capsys,
+                                          flat_config):
+    # A record that lacks a key is refused, not filled with a default.
+    manifest = json.loads((exhaust_out / "trace.json").read_text())
+    for entry in manifest["records"]:
+        (tmp_path / entry["field_file"]).write_bytes(
+            (exhaust_out / entry["field_file"]).read_bytes())
+    del manifest["records"][-1]["boundary_max"]
+    (tmp_path / "trace.json").write_text(json.dumps(manifest))
+    code = main(["decay", "--config", flat_config,
+                 "--trace", str(tmp_path / "trace.json")])
+    err = capsys.readouterr().err
+    _one_line_error(code, err, "decay")
+    assert "does not hold the fields of a trace" in err
+
+
+def test_decay_trace_of_another_profile_exits_one(configs_dir, tmp_path,
+                                                  capsys):
+    out = tmp_path / "flat3"
+    assert main(["exhaust", "--config", str(configs_dir / "flat3.json"),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["decay", "--config", str(configs_dir / "bump3.json"),
+                 "--trace", str(out / "trace.json")])
+    err = capsys.readouterr().err
+    _one_line_error(code, err, "decay")
+    assert "is for profile euclidean n = 3" in err
+
+
+def test_exhaust_compact_radius_checked_before_solving(tmp_path, capsys):
+    # The default compact_radius 1.0 is not below the smallest radius:
+    # refused before any continuation runs, so nothing is written.
+    out = tmp_path / "out"
+    code = main(["exhaust", "--radii", "0.9,2,4", "--out", str(out)])
+    err = capsys.readouterr().err
+    _one_line_error(code, err, "exhaust")
+    assert "compact radius R = 1.0 must be below min(radii)" in err
+    assert not out.exists()
 
 
 def test_missing_field_exits_one(flat_config, capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yamabe_lab import exhaustion, manifold
+from yamabe_lab.config import load_config, profile_from_config
 from yamabe_lab.constants import critical_exponent
 from yamabe_lab.errors import (DomainError, InfeasibleExponentError,
                                MonotonicityError)
@@ -20,7 +21,7 @@ from yamabe_lab.exhaustion import (BallRecord, ExhaustionTrace, beta0_select,
                                    run_exhaustion, save_trace,
                                    subsolution_check)
 from yamabe_lab.functional import lambda_constant
-from yamabe_lab.radial import RadialField, RadialGrid
+from yamabe_lab.radial import RadialField, RadialGrid, lp_norm, yamabe_energy
 
 
 # -- run_exhaustion ----------------------------------------------------------
@@ -197,9 +198,11 @@ def _synthetic_trace(alpha=0.5, j=8.0, n=3):
     vals = (1.0 + grid.nodes) ** -alpha * (1.0 - grid.nodes / j)
     vals[-1] = 0.0
     field = RadialField(grid, vals, boundary="dirichlet")
-    rec = BallRecord(j=j, y=1.0, y_extrapolated=1.0, y_critical=None,
+    rec = BallRecord(j=j, y=1.0, y_critical=None,
                      field=field, max_value=float(vals.max()),
-                     max_radius=0.0, boundary_max=float(vals[-2]))
+                     max_radius=0.0, boundary_max=float(vals[-2]),
+                     concentration=False, concentration_reason="",
+                     lam_schedule=(), s_schedule=(), critical_residual=None)
     return ExhaustionTrace(profile_name="synthetic", n=n, radii=(j,),
                            records=(rec,), tol_mono=0.0)
 
@@ -250,10 +253,12 @@ def _trace_with_boundary(values):
         grid = RadialGrid(j=float(k + 2), N=64)
         vals = np.zeros(65)
         field = RadialField(grid, vals, boundary="dirichlet")
-        recs.append(BallRecord(j=float(k + 2), y=1.0, y_extrapolated=1.0,
+        recs.append(BallRecord(j=float(k + 2), y=1.0,
                                y_critical=None, field=field,
                                max_value=1.0, max_radius=0.0,
-                               boundary_max=bmax))
+                               boundary_max=bmax, concentration=False,
+                               concentration_reason="", lam_schedule=(),
+                               s_schedule=(), critical_residual=None))
     return ExhaustionTrace(profile_name="synthetic", n=3,
                            radii=tuple(float(k + 2) for k in range(len(values))),
                            records=tuple(recs), tol_mono=0.0)
@@ -288,11 +293,11 @@ def _verdict_trace(sups, concentration=False, max_radius=0.0):
         field = RadialField(grid, vals, boundary="dirichlet")
         last = k == len(sups) - 1
         recs.append(BallRecord(
-            j=j, y=1.0, y_extrapolated=1.0, y_critical=None, field=field,
+            j=j, y=1.0, y_critical=None, field=field,
             max_value=sup, max_radius=max_radius if last else 0.0,
             boundary_max=0.0, concentration=concentration and last,
             concentration_reason="synthetic" if concentration and last
-            else ""))
+            else "", lam_schedule=(), s_schedule=(), critical_residual=None))
     return ExhaustionTrace(profile_name="synthetic", n=3,
                            radii=tuple(r.j for r in recs),
                            records=tuple(recs), tol_mono=0.0)
@@ -359,10 +364,11 @@ def test_trace_roundtrip(tmp_path, flat_trace):
     # carries a float y_critical and critical_residual.
     grid = RadialGrid(j=16.0, N=64)
     polished = BallRecord(
-        j=16.0, y=5.4781, y_extrapolated=5.4792, y_critical=5.4781,
+        j=16.0, y=5.4781, y_critical=5.4781,
         field=RadialField(grid, (1.0 - grid.nodes / 16.0) ** 2,
                           boundary="dirichlet"),
         max_value=1.0, max_radius=0.0, boundary_max=0.01,
+        concentration=False, concentration_reason="",
         lam_schedule=(1.5, 2.5), s_schedule=(2.5, 5.9),
         critical_residual=3.2e-11)
     trace = dataclasses.replace(
@@ -378,6 +384,30 @@ def test_trace_roundtrip(tmp_path, flat_trace):
         assert a.field.boundary == b.field.boundary
     # loading by directory works too
     assert load_trace(tmp_path).radii == trace.radii
+
+
+@pytest.mark.parametrize("config", ["flat3", "bump3", "cigar3",
+                                    "hyperbolic3", "euclidean4"])
+def test_reported_y_is_quotient_of_stored_field(config, configs_dir,
+                                                tmp_path):
+    # Every Y_j is the discrete Yamabe quotient of the field its trace
+    # stores, so it can be recomputed from field_j*.csv alone.  The n = 3
+    # balls report the witness of the last solved field, the n = 4 balls
+    # the attained critical multiplier.
+    if config == "euclidean4":
+        profile, polished = manifold.euclidean(4, r_max=1e8), True
+    else:
+        profile = profile_from_config(load_config(configs_dir
+                                                  / f"{config}.json"))
+        polished = False
+    trace = load_trace(save_trace(
+        run_exhaustion(profile, (2.0, 4.0, 8.0)), tmp_path))
+    p = critical_exponent(profile.n)
+    for rec in trace.records:
+        assert (rec.y_critical is not None) == polished
+        quotient = yamabe_energy(rec.field, profile) \
+            / lp_norm(rec.field, p, profile) ** 2
+        assert rec.y == pytest.approx(quotient, rel=1e-12, abs=0.0)
 
 
 def test_load_trace_rejects_foreign_fields(tmp_path, flat_trace):

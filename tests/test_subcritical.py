@@ -317,14 +317,19 @@ def test_operator_constraint_normalize_and_residual(profile, grid):
 
 def test_continuation_golden_values():
     # Captured before the operator was hoisted out of the schedule; the
-    # solver loop must reproduce every bit.
+    # solver loop must reproduce every bit.  This 64-cell B_1 is the one
+    # ball found (flat, bump, cigar and hyperbolic at j = 1, 2, 4, 8 with
+    # 32 to 256 cells per unit, at least 64 cells) where the witness,
+    # +2.69% off Lambda(3), is farther off than the linear extrapolation
+    # in p - s that the lab used to report (+2.52%).
     result = continue_to_critical(manifold.euclidean(3, 2.0),
                                   RadialGrid(j=1.0, N=64))
     assert result.lam_values == [
         10.947978343668883, 10.54147480426828, 9.229593201046807,
         8.16493292382319, 7.390953888061803, 6.8380019857597985,
         6.426567159487712, 6.13487576793015]
-    assert result.y_extrapolated == 5.616083270997345
+    assert result.q_p_witness == 5.625293852403004
+    assert result.y_best == result.q_p_witness
     assert result.concentration_reason == (
         "minimizer narrowed to a grid-scale spike at s = 5.820813")
 
@@ -463,7 +468,8 @@ def test_retry_recovering_after_exhausted_searches_golden(monkeypatch):
     # leaves it alone.  Y was captured before the exit existed.
     result, log = _logged_continuation(
         monkeypatch, manifold.euclidean(3, 1e8), RadialGrid(j=4.252647, N=544))
-    assert result.y_best == 5.52621181246316
+    assert result.q_p_witness == 5.478102433666334
+    assert result.y_best == result.q_p_witness
     assert result.concentration_reason == (
         "minimizer narrowed to a grid-scale spike at s = 5.949867")
     searches = _retry_searches(log)
@@ -486,7 +492,8 @@ def test_sign_restart_ball_golden_values(monkeypatch):
         5.516019524861086, 5.516999715289211, 5.513893865215239,
         5.508861670871136, 5.503314219426602, 5.498116211927537,
         5.493724348428151]
-    assert result.y_extrapolated == 5.486855343659872
+    assert result.q_p_witness == 5.48450651023175
+    assert result.y_best == result.q_p_witness
     assert result.y_critical is None
     assert result.concentration_reason.startswith(
         "critical polish failed: Newton stalled: ")
