@@ -9,14 +9,14 @@ the boundary flux retained.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .constants import area_weight, critical_exponent, lambda_constant
 from .errors import DomainError
-from .manifold import MetricProfile
+from .manifold import MetricProfile, NotAKnotSpline
 from .radial import RadialField
 
 
@@ -79,9 +79,14 @@ def rescale(u: RadialField, profile: MetricProfile) -> RescaledField:
     p = critical_exponent(profile.n)
     delta = m ** (1.0 - p / 2.0)
     center = float(grid.nodes[k])
-    rho_k = (grid.j - center) / delta
+    rho_k = (grid.j - center) / delta if delta > 0.0 else math.inf
+    if not math.isfinite(rho_k):
+        raise DomainError(
+            f"field maximum {m:.3e} is too tall to rescale: delta = "
+            f"m^(1 - p/2) = {delta:.3e} leaves rho_k = (j - x_c)/delta "
+            f"non-finite")
     window = min(5.0, rho_k / 2.0)
-    spline = CubicSpline(grid.nodes, vals)
+    spline = NotAKnotSpline(grid.nodes, vals)
     x = np.linspace(-window, window,
                     2 * max(8, int(round(_SAMPLES_PER_UNIT * window))) + 1)
     r_samples = center + delta * x
@@ -122,7 +127,7 @@ def energy_identity_check(x, v, n: int, Y: float) -> IdentityReport:
     R_ball = float(x[-1])
     p = critical_exponent(n)
     omega = area_weight(n)
-    spline = CubicSpline(x, v)
+    spline = NotAKnotSpline(x, v)
     dv = spline(x, 1)
     grad_energy = omega * float(np.trapezoid(dv**2 * x ** (n - 1), x))
     mass_p = omega * float(np.trapezoid(np.abs(v) ** p * x ** (n - 1), x))

@@ -208,7 +208,8 @@ def cmd_exhaust(config: RunConfig, args) -> dict:
 def cmd_decay(config: RunConfig, args) -> dict:
     """Volume growth, closed-form exponents, and the empirical tail fit,
     combined into one consistency verdict."""
-    from .exhaustion import decay_fit, exponent_formulas, load_trace
+    from .exhaustion import (decay_fit, exponent_formulas, f_at_radii,
+                             load_trace)
     from .functional import exterior_quotient
     from .manifold import volume_growth_exponent
 
@@ -220,6 +221,14 @@ def cmd_decay(config: RunConfig, args) -> dict:
         raise DomainError(
             f"trace {args.trace} is for profile {trace.profile_name} "
             f"n = {trace.n}, the config for {profile.name} n = {profile.n}")
+    if trace.r_max != profile.r_max:
+        raise DomainError(
+            f"trace {args.trace} is for r_max = {trace.r_max:g}, the config "
+            f"for r_max = {profile.r_max:g}")
+    if trace.f_radii != f_at_radii(profile, trace.radii):
+        raise DomainError(
+            f"trace {args.trace} was made with other profile params: its f "
+            f"at the radii differs from the config's")
     j_max = trace.radii[-1]
     growth = volume_growth_exponent(profile, (j_max / 2.0, j_max))
     payload = {"volume_growth": growth._asdict()}

@@ -61,11 +61,18 @@ class BallRecord:
 
 @dataclass(frozen=True)
 class ExhaustionTrace:
-    """Records for an increasing sequence of ball radii."""
+    """Records for an increasing sequence of ball radii.
+
+    ``r_max`` and ``f_radii`` (the profile's f at each radius) record the
+    profile the trace was made with, params included, so that a later
+    command can refuse a trace of another profile.
+    """
 
     profile_name: str
     n: int
+    r_max: float
     radii: tuple
+    f_radii: tuple
     records: tuple
     tol_mono: float
 
@@ -78,6 +85,11 @@ class ExhaustionTrace:
     @property
     def largest(self) -> BallRecord:
         return self.records[-1]
+
+
+def f_at_radii(profile: MetricProfile, radii) -> tuple:
+    """``ExhaustionTrace.f_radii``: the profile's f at each radius."""
+    return tuple(float(v) for v in profile.f(np.asarray(radii, dtype=float)))
 
 
 def _record_from(j: float, profile: MetricProfile,
@@ -136,8 +148,9 @@ def run_exhaustion(profile: MetricProfile, radii, nodes_per_unit: int = 128,
                 f"Y_j increased from {prev.y:.6f} (j={prev.j}) to "
                 f"{cur.y:.6f} (j={cur.j}) beyond tol {tol_mono:.2e}")
     return ExhaustionTrace(profile_name=profile.name, n=profile.n,
-                           radii=tuple(radii), records=tuple(records),
-                           tol_mono=tol_mono)
+                           r_max=float(profile.r_max), radii=tuple(radii),
+                           f_radii=f_at_radii(profile, radii),
+                           records=tuple(records), tol_mono=tol_mono)
 
 
 # -- subsolution check for the extension by zero -----------------------------

@@ -164,26 +164,107 @@ def power_bump(n: int, a: float, b: float, r_max: float = 40.0) -> MetricProfile
     )
 
 
+class NotAKnotSpline:
+    """Cubic spline through the knots (x_i, y_i) with not-a-knot ends.
+
+    The interpolant of scipy's default ``CubicSpline``, in the same
+    arithmetic: the knot slopes solve its tridiagonal system by the
+    elimination that LAPACK ``dgtsv`` makes when it interchanges no rows
+    (it makes none on uniform knots), and the cubics are summed in scipy's
+    order.  No row needs interchanging for stability: every row but the
+    two end rows is diagonally dominant, and eliminating the first row
+    leaves the second dominant too.  Outside [x_0, x_last] the end cubics
+    extrapolate; a point on an interior knot takes the cubic to its right.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 4:
+            raise DomainError("a spline needs >= 4 matching (x, y) knots")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise DomainError("spline knots and values must be finite")
+        dx = np.diff(x)
+        if np.any(dx <= 0):
+            raise DomainError("spline knots must strictly increase")
+        slope = np.diff(y) / dx
+        s = _not_a_knot_slopes(x, dx, slope)
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        self._x = x
+        # Power coefficients of each interval's cubic in (t - x_i).
+        self._coeffs = (y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx)
+
+    def __call__(self, t, nu: int = 0):
+        """The spline (nu = 0) or its nu-th derivative (1 or 2) at t."""
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(self._x, t, side="right") - 1,
+                    0, self._x.size - 2)
+        d = t - self._x[k]
+        c0, c1, c2, c3 = (c[k] for c in self._coeffs)
+        if nu == 0:
+            out = c0 + c1 * d + c2 * (d * d) + c3 * (d * d * d)
+        elif nu == 1:
+            out = c1 + c2 * d * 2.0 + c3 * (d * d) * 3.0
+        elif nu == 2:
+            out = c2 * 2.0 + c3 * d * 6.0
+        else:
+            raise DomainError(f"derivative order must be 0, 1 or 2, got {nu}")
+        return out[()]
+
+
+def _not_a_knot_slopes(x: np.ndarray, dx: np.ndarray,
+                       slope: np.ndarray) -> np.ndarray:
+    """Knot slopes of the not-a-knot cubic spline (>= 4 knots)."""
+    n = x.size
+    diag = np.empty(n)
+    upper = np.empty(n - 1)
+    lower = np.empty(n - 1)
+    rhs = np.empty(n)
+    diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    upper[1:] = dx[:-1]
+    lower[:-1] = dx[1:]
+    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # Not-a-knot: the third derivative is continuous at x_1 and x_{n-2}.
+    d = x[2] - x[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0]
+              + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    diag[-1], lower[-1] = dx[-2], d
+    rhs[-1] = (dx[-1] ** 2 * slope[-2]
+               + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    # On Python floats: numpy scalars are several times slower per step.
+    diag, upper, lower, s = (a.tolist() for a in (diag, upper, lower, rhs))
+    for i in range(n - 1):
+        w = lower[i] / diag[i]
+        diag[i + 1] -= w * upper[i]
+        s[i + 1] -= w * s[i]
+    s[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+    return np.array(s)
+
+
 def from_table(n: int, r: np.ndarray, f_values: np.ndarray,
                r_max: float) -> MetricProfile:
     """Profile from sampled (r, f) pairs; cubic-spline interpolated."""
-    from scipy.interpolate import CubicSpline
-
     r = np.asarray(r, dtype=float)
     f_values = np.asarray(f_values, dtype=float)
     if r.ndim != 1 or r.shape != f_values.shape or r.size < 8:
         raise ProfileError("table needs >= 8 matching (r, f) samples")
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(f_values))):
+        raise ProfileError("table radii and values must be finite")
     if r[0] != 0.0 or np.any(np.diff(r) <= 0):
         raise ProfileError("table radii must strictly increase from 0")
     if np.max(np.diff(r)) > 0.1 * r[-1]:
         raise ProfileError("table too sparse for stable differentiation")
-    spline = CubicSpline(r, f_values)
+    spline = NotAKnotSpline(r, f_values)
     h = r[1] / 4.0
     c3 = float(spline(h, 2)) / (6.0 * h)
     return MetricProfile(
         n=n, r_max=min(r_max, r[-1]), name="table",
-        f=spline, f_prime=spline.derivative(1), f_second=spline.derivative(2),
-        c3=c3,
+        f=spline, f_prime=lambda t: spline(t, 1),
+        f_second=lambda t: spline(t, 2), c3=c3,
     )
 
 

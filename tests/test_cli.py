@@ -246,6 +246,16 @@ def test_cold_bubble_imports_no_scipy(configs_dir):
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 
+def test_cold_blowup_imports_no_scipy(configs_dir, exhaust_out):
+    # The rescaling and the energy identity use manifold's spline, so a
+    # cold blowup --field needs numpy only, as bubble does.
+    imported = _cold_imports("blowup", "--config",
+                             str(configs_dir / "flat3.json"),
+                             "--field", str(exhaust_out / "field_j4.csv"))
+    assert "yamabe_lab.blowup" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
+
 def test_cold_blowup_imports_no_quotients(configs_dir, exhaust_out):
     # blowup takes Lambda(n) from constants: a cold blowup --field loads
     # neither the quotient module nor the solver.
@@ -316,6 +326,34 @@ def test_decay_trace_of_another_profile_exits_one(configs_dir, tmp_path,
     err = capsys.readouterr().err
     _one_line_error(code, err, "decay")
     assert "is for profile euclidean n = 3" in err
+
+
+@pytest.mark.parametrize("made_with, config, message", [
+    # The trace's r_max, and its f at the radii, record the profile params.
+    ({}, {"r_max": 30.0},
+     "is for r_max = 1e+08, the config for r_max = 30"),
+    ({"name": "power_bump", "params": {"a": -0.5, "b": 0.25}},
+     {"name": "power_bump", "params": {"a": -0.5, "b": 0.5}},
+     "was made with other profile params"),
+])
+def test_decay_trace_of_other_params_exits_one(tmp_path, capsys, made_with,
+                                               config, message):
+    paths = []
+    for name, profile in (("made", made_with), ("config", config)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "profile": {"name": "euclidean", "n": 3} | profile,
+            "pipeline": {"radii": [1.0, 2.0, 4.0], "r_in": [1.0, 2.0],
+                         "compact_radius": 0.5}}))
+        paths.append(str(path))
+    out = tmp_path / "exhaust"
+    assert main(["exhaust", "--config", paths[0], "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["decay", "--config", paths[1],
+                 "--trace", str(out / "trace.json")])
+    err = capsys.readouterr().err
+    _one_line_error(code, err, "decay")
+    assert message in err
 
 
 def test_exhaust_compact_radius_checked_before_solving(tmp_path, capsys):
@@ -444,6 +482,30 @@ def test_bad_field_csv_exits_one(flat_config, tmp_path, capsys, row):
     _one_line_error(code, err, "blowup")
     assert err.startswith("error [blowup]: DomainError")
     assert f"{path} line 18" in err
+
+
+_R = np.linspace(0.0, 4.0, 129)
+
+
+@pytest.mark.parametrize("r, u, message", [
+    # A peak of 1e200 underflowed delta = m^(1 - p/2) to 0.0 and ended in
+    # a ZeroDivisionError traceback; at 1e160 rho_k overflowed to inf.
+    (_R, 1e200 * np.exp(-_R**2), "too tall to rescale"),
+    (_R, 1e160 * np.exp(-_R**2), "too tall to rescale"),
+    # Knots the spline could not take: decreasing radii and too few rows.
+    (_R[::-1], np.exp(-_R**2), "need 0 <= r_lo < j"),
+    (_R[:3], np.exp(-_R[:3] ** 2), "N must be >= 32"),
+])
+def test_blowup_refused_field_exits_one(flat_config, tmp_path, capsys, r, u,
+                                        message):
+    path = tmp_path / "field.csv"
+    path.write_text("r,u\n" + "".join(f"{float(a)!r},{float(b)!r}\n"
+                                      for a, b in zip(r, u)))
+    code = main(["blowup", "--config", flat_config, "--field", str(path)])
+    err = capsys.readouterr().err
+    _one_line_error(code, err, "blowup")
+    assert err.startswith("error [blowup]: DomainError")
+    assert message in err
 
 
 @pytest.mark.parametrize("profile", [

@@ -193,6 +193,14 @@ def test_exponent_invariants(n, y, ratio, rho_frac):
 # -- decay fits --------------------------------------------------------------
 
 
+def _trace_of(recs, n=3):
+    """A trace of the given records, made as on flat space (f = r)."""
+    radii = tuple(rec.j for rec in recs)
+    return ExhaustionTrace(profile_name="synthetic", n=n, r_max=1e8,
+                           radii=radii, f_radii=radii, records=tuple(recs),
+                           tol_mono=0.0)
+
+
 def _synthetic_trace(alpha=0.5, j=8.0, n=3):
     grid = RadialGrid(j=j, N=512)
     vals = (1.0 + grid.nodes) ** -alpha * (1.0 - grid.nodes / j)
@@ -203,8 +211,7 @@ def _synthetic_trace(alpha=0.5, j=8.0, n=3):
                      max_radius=0.0, boundary_max=float(vals[-2]),
                      concentration=False, concentration_reason="",
                      lam_schedule=(), s_schedule=(), critical_residual=None)
-    return ExhaustionTrace(profile_name="synthetic", n=n, radii=(j,),
-                           records=(rec,), tol_mono=0.0)
+    return _trace_of([rec], n=n)
 
 
 def test_fit_tail_exponent_exact_power_law():
@@ -259,9 +266,7 @@ def _trace_with_boundary(values):
                                boundary_max=bmax, concentration=False,
                                concentration_reason="", lam_schedule=(),
                                s_schedule=(), critical_residual=None))
-    return ExhaustionTrace(profile_name="synthetic", n=3,
-                           radii=tuple(float(k + 2) for k in range(len(values))),
-                           records=tuple(recs), tol_mono=0.0)
+    return _trace_of(recs)
 
 
 def test_boundary_bound_floor_pass():
@@ -298,9 +303,7 @@ def _verdict_trace(sups, concentration=False, max_radius=0.0):
             boundary_max=0.0, concentration=concentration and last,
             concentration_reason="synthetic" if concentration and last
             else "", lam_schedule=(), s_schedule=(), critical_residual=None))
-    return ExhaustionTrace(profile_name="synthetic", n=3,
-                           radii=tuple(r.j for r in recs),
-                           records=tuple(recs), tol_mono=0.0)
+    return _trace_of(recs)
 
 
 def test_verdict_converges_positive():
@@ -373,6 +376,7 @@ def test_trace_roundtrip(tmp_path, flat_trace):
         critical_residual=3.2e-11)
     trace = dataclasses.replace(
         flat_trace, radii=flat_trace.radii + (16.0,),
+        f_radii=flat_trace.f_radii + (16.0,),
         records=flat_trace.records + (polished,))
     back = load_trace(save_trace(trace, tmp_path))
     _assert_same_fields(back, trace, skip="records")
@@ -408,6 +412,20 @@ def test_reported_y_is_quotient_of_stored_field(config, configs_dir,
         quotient = yamabe_energy(rec.field, profile) \
             / lp_norm(rec.field, p, profile) ** 2
         assert rec.y == pytest.approx(quotient, rel=1e-12, abs=0.0)
+
+
+def test_load_trace_refuses_trace_without_profile_record(tmp_path,
+                                                        flat_trace):
+    # A trace from before r_max and f_radii were stored is refused, not
+    # filled in: it cannot say which profile params made it.
+    assert flat_trace.r_max == 1e8
+    assert flat_trace.f_radii == flat_trace.radii  # f = r on flat space
+    path = save_trace(flat_trace, tmp_path)
+    manifest = json.loads(path.read_text())
+    del manifest["r_max"], manifest["f_radii"]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DomainError, match="fields of a trace"):
+        load_trace(path)
 
 
 def test_load_trace_rejects_foreign_fields(tmp_path, flat_trace):

@@ -187,6 +187,84 @@ def test_table_requires_header_and_density(tmp_path):
                             r_max=1.0)
 
 
+@pytest.mark.parametrize("r, f", [
+    (np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, math.nan, 0.8]),
+     np.linspace(0.0, 0.8, 9)),
+    (np.linspace(0.0, 0.8, 9),
+     np.array([0.0, 0.1, 0.2, 0.3, math.inf, 0.5, 0.6, 0.7, 0.8])),
+])
+def test_table_rejects_non_finite_samples(r, f):
+    # A nan radius passes the increasing-radii check (nan <= 0 is false).
+    with pytest.raises(ProfileError, match="finite"):
+        manifold.from_table(3, r, f, r_max=1.0)
+
+
+# -- the not-a-knot spline ---------------------------------------------------
+
+
+def _spline_knots():
+    """Uniform knots (25, and the minimum 4), then random knots with
+    log-uniform spacings of ratio up to 1e2, 1e3 and 1e4, random values,
+    an offset and a scale.
+
+    The random sets hold 5 or more knots: the single cubic through 4
+    clustered knots is ill-conditioned.  On 4 knots of spacing ratio 800
+    this spline and scipy's are each 3e-11 off the exact one (computed in
+    rational arithmetic) and 2.5e-12 off each other.
+    """
+    rng = np.random.default_rng(7)
+    x = np.linspace(0.0, 3.0, 25)
+    cases = [(x, np.sin(2.0 * x)), (x[:4], np.array([1.0, -2.0, 0.5, 3.0]))]
+    for ratio in (1e2, 1e3, 1e4):
+        for size in (5, 9, 60):
+            dx = np.exp(rng.uniform(0.0, math.log(ratio), size - 1))
+            x = rng.uniform(-5.0, 5.0) + np.concatenate(
+                [[0.0], np.cumsum(dx)]) * 10.0 ** rng.uniform(-2.0, 2.0)
+            cases.append((x, rng.normal(size=size)
+                          * 10.0 ** rng.uniform(-3.0, 3.0)))
+    return cases
+
+
+@pytest.mark.parametrize("x, y", _spline_knots())
+@pytest.mark.parametrize("nu", [0, 1, 2])
+def test_spline_matches_scipy_cubic_spline(x, y, nu):
+    # scipy's default CubicSpline is the reference: values and first and
+    # second derivatives at the knots, between them and past both ends.
+    from scipy.interpolate import CubicSpline
+
+    dx = np.diff(x)
+    t = np.concatenate([x, x[:-1] + 0.5 * dx, x[:-1] + 0.1 * dx,
+                        [x[0] - dx[0], x[-1] + dx[-1]]])
+    expected = CubicSpline(x, y)(t, nu)
+    got = manifold.NotAKnotSpline(x, y)(t, nu)
+    assert np.max(np.abs(got - expected)) <= \
+        1e-12 * np.max(np.abs(expected))
+
+
+def test_spline_scalar_in_scalar_out():
+    x = np.linspace(0.0, 1.0, 9)
+    spline = manifold.NotAKnotSpline(x, x**3)
+    # A cubic is reproduced exactly, to rounding.
+    assert np.ndim(spline(0.5)) == 0
+    assert float(spline(0.5)) == pytest.approx(0.125, rel=1e-14)
+    assert float(spline(0.5, 2)) == pytest.approx(3.0, rel=1e-12)
+    with pytest.raises(DomainError, match="derivative order"):
+        spline(0.5, 3)
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], "strictly increase"),
+    ([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0], "strictly increase"),
+    ([0.0, 1.0, math.nan, 3.0], [0.0, 1.0, 2.0, 3.0], "finite"),
+    ([0.0, 1.0, 2.0, 3.0], [0.0, math.inf, 2.0, 3.0], "finite"),
+    ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], ">= 4"),
+    ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0], ">= 4"),
+])
+def test_spline_rejects_bad_knots(x, y, message):
+    with pytest.raises(DomainError, match=message):
+        manifold.NotAKnotSpline(x, y)
+
+
 def test_make_profile_dispatch():
     prof = manifold.make_profile("power_bump", n=4, r_max=12.0,
                                  params={"a": 1.0, "b": 1.0}, table_path=None)
