@@ -2,8 +2,9 @@
 """Search the power-bump family for a profile with Y < Y_inf by a margin.
 
 Goal: find (a, b) for f(r) = r (1 + a r^2 exp(-b r^2)), n = 3, such that
-the estimated Yamabe constant sits at least `--margin` (default 5%)
-below the estimated Yamabe constant at infinity, the exhaustion verdict
+the estimated Yamabe constant sits at least REQUIRED_MARGIN (5%, the
+margin of the `constants` command's existence condition) below the
+estimated Yamabe constant at infinity, the exhaustion verdict
 is converges-positive, and the critical solve's residual is tiny.  A hit
 is written to configs/bump.json and the script exits 0; otherwise it
 exits 1 LOUDLY, printing the best margin found.
@@ -37,6 +38,7 @@ import sys
 from pathlib import Path
 
 from yamabe_lab import exhaustion, functional, manifold, radial, subcritical
+from yamabe_lab.cli import REQUIRED_MARGIN
 from yamabe_lab.errors import ConvergenceError, MonotonicityError, \
     ProfileError, StabilizationError
 
@@ -49,7 +51,7 @@ def screen(n, a, b, r_max, j=8.0, nodes=1024):
         subcritical.DiscreteOperator(profile, grid))
     result = subcritical.continue_to_critical(
         profile, radial.RadialGrid(j=j, N=nodes))
-    return lam1, result.y_best, result.concentration
+    return lam1, result.y, result.concentration
 
 
 def evaluate(n, a, b, r_max, radii, nodes_per_unit, r_in):
@@ -72,7 +74,6 @@ def evaluate(n, a, b, r_max, radii, nodes_per_unit, r_in):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--margin", type=float, default=0.05)
     ap.add_argument("--n", type=int, default=3)
     ap.add_argument("--r-max", type=float, default=1e8)
     ap.add_argument("--top", type=int, default=6,
@@ -120,11 +121,11 @@ def main():
 
     Path(args.report).parent.mkdir(parents=True, exist_ok=True)
     Path(args.report).write_text(json.dumps(
-        {"margin_required": args.margin, "results": results},
+        {"margin_required": REQUIRED_MARGIN, "results": results},
         sort_keys=True, indent=2) + "\n")
 
     hits = [r for r in results
-            if r["margin"] >= args.margin
+            if r["margin"] >= REQUIRED_MARGIN
             and r["verdict"] == "converges-positive"
             and r["critical_residual"] is not None
             and r["critical_residual"] <= 1e-6]
@@ -147,7 +148,7 @@ def main():
     best = max(results, key=lambda r: r["margin"]) if results else None
     print("=" * 72)
     print("SEARCH FAILED: no power-bump profile reached the margin "
-          f"Y < Y_inf - {args.margin:.0%}.")
+          f"Y < Y_inf - {REQUIRED_MARGIN:.0%}.")
     if best is not None:
         print(f"best margin found: {best['margin']:+.4f} at "
               f"a={best['a']} b={best['b']} "

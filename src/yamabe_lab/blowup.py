@@ -41,18 +41,11 @@ class RescaledField:
 
     x: np.ndarray = dc_field(repr=False)
     values: np.ndarray = dc_field(repr=False)
-    m: float = 0.0
-    delta: float = 0.0
-    center: float = 0.0
-    window: float = 0.0
-    rho_k: float = 0.0
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if abs(float(np.interp(0.0, self.x, v)) - 1.0) > 1e-12:
-            raise DomainError("rescaled field must satisfy v(0) = 1")
-        if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-9):
-            raise DomainError("rescaled field must stay in [0, 1]")
+    m: float
+    delta: float
+    center: float
+    window: float
+    rho_k: float
 
 
 # Resampling density of the rescaled window, in samples per unit of x.
@@ -65,9 +58,11 @@ def rescale(u: RadialField, profile: MetricProfile) -> RescaledField:
     The maximum must sit at an interior node (boundary blow-up is outside
     the diagnostic's regime).  The window is |x| <= min(5, rho_k / 2),
     where rho_k = (j - x_c) / delta, so delta * window stays within half
-    the distance to the outer boundary.  Resampling is cubic; for a
-    pole-centered maximum the window is symmetric through r = 0 by even
-    reflection.
+    the distance to the outer boundary; a window narrower than one grid
+    cell is refused (the field does not resolve the blow-up scale).
+    Resampling is cubic; for a pole-centered maximum the window is
+    symmetric through r = 0 by even reflection.  The samples lie in
+    [0, 1], with exactly 1 at the center.
     """
     grid, vals = u.grid, u.values
     k = int(np.argmax(vals))
@@ -86,6 +81,11 @@ def rescale(u: RadialField, profile: MetricProfile) -> RescaledField:
             f"m^(1 - p/2) = {delta:.3e} leaves rho_k = (j - x_c)/delta "
             f"non-finite")
     window = min(5.0, rho_k / 2.0)
+    if delta * window < grid.h:
+        raise DomainError(
+            f"field maximum {m:.3e} is too narrow for its grid: the window "
+            f"delta * {window:g} = {delta * window:.3e} is below one cell "
+            f"h = {grid.h:.3e}")
     spline = NotAKnotSpline(grid.nodes, vals)
     x = np.linspace(-window, window,
                     2 * max(8, int(round(_SAMPLES_PER_UNIT * window))) + 1)

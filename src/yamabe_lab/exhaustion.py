@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,27 +41,17 @@ _POSITIVE_FLOOR = 1e-6
 # -- trace -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BallRecord:
-    """Per-ball outcome of the continuation pipeline."""
-
-    j: float
-    y: float
-    y_critical: float | None
-    field: RadialField = dc_field(repr=False)
-    max_value: float
-    max_radius: float
-    boundary_max: float
-    concentration: bool
-    concentration_reason: str
-    lam_schedule: tuple
-    s_schedule: tuple
-    critical_residual: float | None
+# Relative slack of the Y_j monotonicity check.  It matches the
+# demonstrated accuracy of the per-ball estimates (the witness quotient
+# of the last solved field lies up to ~3% above Lambda(n) on n = 3 balls);
+# the underlying lambda_s values at fixed s are domain-monotone to solver
+# precision, and that sharper property is what the test suite checks.
+_TOL_MONO_REL = 0.02
 
 
 @dataclass(frozen=True)
 class ExhaustionTrace:
-    """Records for an increasing sequence of ball radii.
+    """One ContinuationResult per ball, in increasing radius.
 
     ``r_max`` and ``f_radii`` (the profile's f at each radius) record the
     profile the trace was made with, params included, so that a later
@@ -71,19 +61,26 @@ class ExhaustionTrace:
     profile_name: str
     n: int
     r_max: float
-    radii: tuple
     f_radii: tuple
     records: tuple
-    tol_mono: float
 
-    def record_for(self, j: float) -> BallRecord:
+    @property
+    def radii(self) -> tuple:
+        return tuple(rec.j for rec in self.records)
+
+    @property
+    def tol_mono(self) -> float:
+        """Slack of the Y_j monotonicity check: _TOL_MONO_REL |Y_{j_1}|."""
+        return _TOL_MONO_REL * abs(self.records[0].y)
+
+    def record_for(self, j: float) -> ContinuationResult:
         for rec in self.records:
             if rec.j == j:
                 return rec
         raise DomainError(f"trace holds no record for j = {j}")
 
     @property
-    def largest(self) -> BallRecord:
+    def largest(self) -> ContinuationResult:
         return self.records[-1]
 
 
@@ -92,43 +89,12 @@ def f_at_radii(profile: MetricProfile, radii) -> tuple:
     return tuple(float(v) for v in profile.f(np.asarray(radii, dtype=float)))
 
 
-def _record_from(j: float, profile: MetricProfile,
-                 result: ContinuationResult) -> BallRecord:
-    if result.field is None:
-        raise DomainError(f"continuation on j = {j} produced no field")
-    p = critical_exponent(profile.n)
-    normed = result.field.with_values(
-        result.field.values / lp_norm(result.field, p, profile))
-    k = int(np.argmax(normed.values))
-    boundary_nodes = normed.grid.nodes > j - BOUNDARY_LAYER
-    return BallRecord(
-        j=j, y=float(result.y_best), y_critical=result.y_critical,
-        field=normed,
-        max_value=float(normed.values[k]),
-        max_radius=float(normed.grid.nodes[k]),
-        boundary_max=float(np.max(normed.values[boundary_nodes])),
-        concentration=result.concentration,
-        concentration_reason=result.concentration_reason,
-        lam_schedule=tuple(result.lam_values),
-        s_schedule=tuple(result.schedule),
-        critical_residual=result.critical_residual,
-    )
-
-
-# Relative slack of the Y_j monotonicity check.  It matches the
-# demonstrated accuracy of the per-ball estimates (the witness quotient
-# of the last solved field lies up to ~3% above Lambda(n) on n = 3 balls);
-# the underlying lambda_s values at fixed s are domain-monotone to solver
-# precision, and that sharper property is what the test suite checks.
-_TOL_MONO_REL = 0.02
-
-
 def run_exhaustion(profile: MetricProfile, radii, nodes_per_unit: int = 128,
                    **solver_options) -> ExhaustionTrace:
     """Continuation solve on every ball of the exhaustion.
 
     Raises MonotonicityError when the Y_j sequence increases by more than
-    tol_mono = _TOL_MONO_REL * |Y_{j_1}|.
+    the trace's tol_mono.
     """
     radii = [float(j) for j in radii]
     if len(radii) < 3:
@@ -140,17 +106,19 @@ def run_exhaustion(profile: MetricProfile, radii, nodes_per_unit: int = 128,
     for j in radii:
         grid = RadialGrid(j=j, N=max(64, int(round(nodes_per_unit * j))))
         result = continue_to_critical(profile, grid, **solver_options)
-        records.append(_record_from(j, profile, result))
-    tol_mono = _TOL_MONO_REL * abs(records[0].y)
+        if result.field is None:
+            raise DomainError(f"continuation on j = {j} produced no field")
+        records.append(result)
+    trace = ExhaustionTrace(profile_name=profile.name, n=profile.n,
+                            r_max=float(profile.r_max),
+                            f_radii=f_at_radii(profile, radii),
+                            records=tuple(records))
     for prev, cur in zip(records, records[1:]):
-        if cur.y > prev.y + tol_mono:
+        if cur.y > prev.y + trace.tol_mono:
             raise MonotonicityError(
                 f"Y_j increased from {prev.y:.6f} (j={prev.j}) to "
-                f"{cur.y:.6f} (j={cur.j}) beyond tol {tol_mono:.2e}")
-    return ExhaustionTrace(profile_name=profile.name, n=profile.n,
-                           r_max=float(profile.r_max), radii=tuple(radii),
-                           f_radii=f_at_radii(profile, radii),
-                           records=tuple(records), tol_mono=tol_mono)
+                f"{cur.y:.6f} (j={cur.j}) beyond tol {trace.tol_mono:.2e}")
+    return trace
 
 
 # -- subsolution check for the extension by zero -----------------------------
@@ -188,11 +156,11 @@ def subsolution_check(trace: ExhaustionTrace, j: float,
     if rec.y_critical is not None:
         s_eq, lam_eq = p, rec.y_critical
     else:
-        if not rec.s_schedule:
+        if not rec.schedule:
             raise DomainError(f"record j = {j} holds no solved equation")
-        s_eq = rec.s_schedule[-1]
+        s_eq = rec.schedule[-1]
         norm_s = lp_norm(rec.field, s_eq, profile)
-        lam_eq = rec.lam_schedule[-1] * norm_s ** (2.0 - s_eq)
+        lam_eq = rec.lam_values[-1] * norm_s ** (2.0 - s_eq)
     h = rec.field.grid.h
     big = RadialGrid(j=big_j, N=int(round(big_j / h)))
     values = np.zeros(big.N + 1)
@@ -338,6 +306,7 @@ class BoundaryBound:
 def boundary_bound(trace: ExhaustionTrace) -> BoundaryBound:
     """Boundedness proxy: boundary-layer maxima must not drift.
 
+    Each ball's maximum is that of its field on r > j - BOUNDARY_LAYER.
     Over the upper half of the radii the max/min ratio must stay below
     ``_BOUNDARY_RATIO_CAP``; tails that are uniformly below
     ``_BOUNDARY_FLOOR`` pass outright (ratios of vanishing tails are
@@ -345,7 +314,11 @@ def boundary_bound(trace: ExhaustionTrace) -> BoundaryBound:
     """
     if not trace.records:
         raise DomainError("empty trace")
-    values = tuple(rec.boundary_max for rec in trace.records)
+    values = []
+    for rec in trace.records:
+        layer = rec.field.grid.nodes > rec.j - BOUNDARY_LAYER
+        values.append(float(np.max(rec.field.values[layer])))
+    values = tuple(values)
     upper = values[len(values) // 2:]
     top = max(upper)
     ratio = 1.0 if top <= _BOUNDARY_FLOOR else top / max(min(upper), 1e-300)
@@ -381,16 +354,19 @@ def concentration_verdict(trace: ExhaustionTrace, R: float) -> Verdict:
         sups.append(float(np.max(rec.field.values[mask])))
     sups = tuple(sups)
 
-    if trace.largest.concentration:
-        # The per-ball continuation already blew past the resolution cap:
-        # the max location decides between interior blow-up and escape.
-        if trace.largest.max_radius <= R:
+    largest = trace.largest
+    if largest.concentration:
+        # The largest ball's continuation stopped on concentration (a
+        # grid-scale spike or a failed solve): where its field peaks
+        # decides between interior blow-up and escape.
+        peak = largest.field.grid.nodes[np.argmax(largest.field.values)]
+        if peak <= R:
             return Verdict("concentrates", sups,
                            "per-ball continuation concentrated inside B_R: "
-                           + trace.largest.concentration_reason)
+                           + largest.concentration_reason)
         return Verdict("escapes", sups,
                        "per-ball continuation concentrated outside B_R: "
-                       + trace.largest.concentration_reason)
+                       + largest.concentration_reason)
 
     first, last = sups[0], sups[-1]
     diffs = np.diff(sups)
@@ -429,7 +405,8 @@ def save_trace(trace: ExhaustionTrace, out_dir) -> Path:
     """Write trace.json plus one field CSV per ball under out_dir.
 
     The manifest holds the ExhaustionTrace fields; each record entry holds
-    the BallRecord fields, with the name of its CSV in place of ``field``.
+    the ContinuationResult fields, with the name of its CSV in place of
+    ``field``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -451,7 +428,7 @@ def load_trace(path) -> ExhaustionTrace:
         path = path / "trace.json"
     manifest = json.loads(path.read_text())
     try:
-        records = [BallRecord(field=load_field_csv(
+        records = [ContinuationResult(field=load_field_csv(
             path.parent / entry.pop("field_file"), boundary="dirichlet"),
             **_tuples(entry)) for entry in manifest["records"]]
         return ExhaustionTrace(**_tuples(manifest | {"records": records}))

@@ -37,9 +37,9 @@ class MetricProfile:
     n: int
     r_max: float
     name: str
-    f: Callable = field(repr=False, default=None)
-    f_prime: Callable = field(repr=False, default=None)
-    f_second: Callable = field(repr=False, default=None)
+    f: Callable = field(repr=False)
+    f_prime: Callable = field(repr=False)
+    f_second: Callable = field(repr=False)
     c3: float = 0.0
 
     def __post_init__(self):

@@ -352,10 +352,12 @@ def default_schedule(n: int, s_start: float, count: int,
 
 @dataclass(frozen=True)
 class ContinuationResult:
-    """Outcome of the schedule s -> p on one ball."""
+    """Outcome of the schedule s -> p on the ball of radius ``j``; an
+    exhaustion trace holds one per ball."""
 
-    schedule: list
-    lam_values: list
+    j: float
+    schedule: tuple
+    lam_values: tuple
     q_p_witness: float
     y_critical: float | None
     field: RadialField | None = dc_field(repr=False)
@@ -364,7 +366,7 @@ class ContinuationResult:
     critical_residual: float | None
 
     @property
-    def y_best(self) -> float:
+    def y(self) -> float:
         """Critical multiplier when the polish is attained, else the
         critical-quotient witness of the last solved field.  Either one is
         the discrete Yamabe quotient of ``field``."""
@@ -395,7 +397,8 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
     width below ``_MIN_HALFWIDTH_NODES`` grid cells) that the
     discretization can no longer represent, or when a solve fails.  On
     concentration the partial results are returned with the flag set;
-    this is the expected exit on flat balls.
+    this is the expected exit on flat balls.  The returned field has unit
+    L^p norm.
     """
     p = critical_exponent(profile.n)
     schedule = default_schedule(profile.n, s_start=s_start, count=count,
@@ -442,10 +445,17 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
                 critical_residual = crit.residual
         except ConvergenceError as exc:
             concentration, reason = True, f"critical polish failed: {exc}"
+    if final_field is not None:
+        # Unit L^p norm by lp_norm on both branches.  The witness field
+        # has it already, and this second division moves some of its
+        # values by an ulp; stored fields keep those bits.
+        final_field = final_field.with_values(
+            final_field.values / lp_norm(final_field, p, profile))
 
     return ContinuationResult(
-        schedule=[float(s) for s in schedule[:len(lam_values)]],
-        lam_values=[float(v) for v in lam_values],
+        j=grid.j,
+        schedule=tuple(float(s) for s in schedule[:len(lam_values)]),
+        lam_values=tuple(float(v) for v in lam_values),
         q_p_witness=float(q_p_witness),
         y_critical=y_critical,
         field=final_field,

@@ -306,7 +306,7 @@ def test_decay_incomplete_trace_exits_one(exhaust_out, tmp_path, capsys,
     for entry in manifest["records"]:
         (tmp_path / entry["field_file"]).write_bytes(
             (exhaust_out / entry["field_file"]).read_bytes())
-    del manifest["records"][-1]["boundary_max"]
+    del manifest["records"][-1]["q_p_witness"]
     (tmp_path / "trace.json").write_text(json.dumps(manifest))
     code = main(["decay", "--config", flat_config,
                  "--trace", str(tmp_path / "trace.json")])
@@ -495,6 +495,12 @@ _R = np.linspace(0.0, 4.0, 129)
     # Knots the spline could not take: decreasing radii and too few rows.
     (_R[::-1], np.exp(-_R**2), "need 0 <= r_lo < j"),
     (_R[:3], np.exp(-_R[:3] ** 2), "N must be >= 32"),
+    # Taller than sqrt(5 / h) = 12.6, the window delta * 5 with
+    # delta = m^-2 fell inside the first cell: every resample landed
+    # there, and the report exited 0 with a relative defect near 1.
+    (_R, 30.0 * np.exp(-_R**2), "too narrow for its grid"),
+    (_R, 1e3 * np.exp(-_R**2), "too narrow for its grid"),
+    (_R, 1e150 * np.exp(-_R**2), "too narrow for its grid"),
 ])
 def test_blowup_refused_field_exits_one(flat_config, tmp_path, capsys, r, u,
                                         message):

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yamabe_lab import exhaustion, manifold
+from yamabe_lab.cli import _run_trace, main
 from yamabe_lab.config import load_config, profile_from_config
 from yamabe_lab.constants import critical_exponent
 from yamabe_lab.errors import (DomainError, InfeasibleExponentError,
                                MonotonicityError)
-from yamabe_lab.exhaustion import (BallRecord, ExhaustionTrace, beta0_select,
+from yamabe_lab.exhaustion import (ExhaustionTrace, beta0_select,
                                    boundary_bound, concentration_verdict,
                                    decay_fit, exponent_formulas,
                                    fit_tail_exponent, load_trace,
@@ -22,6 +23,7 @@ from yamabe_lab.exhaustion import (BallRecord, ExhaustionTrace, beta0_select,
                                    subsolution_check)
 from yamabe_lab.functional import lambda_constant
 from yamabe_lab.radial import RadialField, RadialGrid, lp_norm, yamabe_energy
+from yamabe_lab.subcritical import ContinuationResult
 
 
 # -- run_exhaustion ----------------------------------------------------------
@@ -70,7 +72,7 @@ def test_subsolution_detects_fake_multiplier(flat_profile, flat_trace):
     # the check must notice a corrupted record.
     rec = flat_trace.record_for(4.0)
     fake = dataclasses.replace(
-        rec, lam_schedule=rec.lam_schedule[:-1] + (rec.lam_schedule[-1] * 0.5,))
+        rec, lam_values=rec.lam_values[:-1] + (rec.lam_values[-1] * 0.5,))
     records = tuple(fake if r.j == 4.0 else r for r in flat_trace.records)
     doctored = dataclasses.replace(flat_trace, records=records)
     rep = subsolution_check(doctored, 4.0, flat_profile)
@@ -193,25 +195,29 @@ def test_exponent_invariants(n, y, ratio, rho_frac):
 # -- decay fits --------------------------------------------------------------
 
 
+def _record(vals, j, concentration=False):
+    """A record of the dirichlet field ``vals`` on B_j, with Y = 1."""
+    field = RadialField(RadialGrid(j=j, N=len(vals) - 1), vals,
+                        boundary="dirichlet")
+    return ContinuationResult(
+        j=j, schedule=(), lam_values=(), q_p_witness=1.0, y_critical=None,
+        field=field, concentration=concentration,
+        concentration_reason="synthetic" if concentration else "",
+        critical_residual=None)
+
+
 def _trace_of(recs, n=3):
     """A trace of the given records, made as on flat space (f = r)."""
-    radii = tuple(rec.j for rec in recs)
     return ExhaustionTrace(profile_name="synthetic", n=n, r_max=1e8,
-                           radii=radii, f_radii=radii, records=tuple(recs),
-                           tol_mono=0.0)
+                           f_radii=tuple(rec.j for rec in recs),
+                           records=tuple(recs))
 
 
 def _synthetic_trace(alpha=0.5, j=8.0, n=3):
-    grid = RadialGrid(j=j, N=512)
-    vals = (1.0 + grid.nodes) ** -alpha * (1.0 - grid.nodes / j)
+    nodes = RadialGrid(j=j, N=512).nodes
+    vals = (1.0 + nodes) ** -alpha * (1.0 - nodes / j)
     vals[-1] = 0.0
-    field = RadialField(grid, vals, boundary="dirichlet")
-    rec = BallRecord(j=j, y=1.0, y_critical=None,
-                     field=field, max_value=float(vals.max()),
-                     max_radius=0.0, boundary_max=float(vals[-2]),
-                     concentration=False, concentration_reason="",
-                     lam_schedule=(), s_schedule=(), critical_residual=None)
-    return _trace_of([rec], n=n)
+    return _trace_of([_record(vals, j)], n=n)
 
 
 def test_fit_tail_exponent_exact_power_law():
@@ -255,17 +261,13 @@ def test_decay_fit_window_validation():
 
 
 def _trace_with_boundary(values):
+    # Each field is bmax at its last interior node and zero elsewhere
+    # (the boundary layer r > j - 1/8 holds that node: h <= 5/64).
     recs = []
     for k, bmax in enumerate(values):
-        grid = RadialGrid(j=float(k + 2), N=64)
         vals = np.zeros(65)
-        field = RadialField(grid, vals, boundary="dirichlet")
-        recs.append(BallRecord(j=float(k + 2), y=1.0,
-                               y_critical=None, field=field,
-                               max_value=1.0, max_radius=0.0,
-                               boundary_max=bmax, concentration=False,
-                               concentration_reason="", lam_schedule=(),
-                               s_schedule=(), critical_residual=None))
+        vals[-2] = bmax
+        recs.append(_record(vals, float(k + 2)))
     return _trace_of(recs)
 
 
@@ -289,20 +291,16 @@ def test_boundary_bound_stable_pass():
 
 
 def _verdict_trace(sups, concentration=False, max_radius=0.0):
+    # Each field peaks at its value sup at r = 0, the last one at the
+    # node r = max_radius; only the last record carries the flag.
     recs = []
     for k, sup in enumerate(sups):
         j = float(2 ** (k + 1))
-        grid = RadialGrid(j=j, N=64)
-        vals = sup * np.exp(-grid.nodes)
-        vals[-1] = 0.0
-        field = RadialField(grid, vals, boundary="dirichlet")
         last = k == len(sups) - 1
-        recs.append(BallRecord(
-            j=j, y=1.0, y_critical=None, field=field,
-            max_value=sup, max_radius=max_radius if last else 0.0,
-            boundary_max=0.0, concentration=concentration and last,
-            concentration_reason="synthetic" if concentration and last
-            else "", lam_schedule=(), s_schedule=(), critical_residual=None))
+        peak = max_radius if last else 0.0
+        vals = sup * np.exp(-np.abs(RadialGrid(j=j, N=64).nodes - peak))
+        vals[-1] = 0.0
+        recs.append(_record(vals, j, concentration=concentration and last))
     return _trace_of(recs)
 
 
@@ -365,18 +363,13 @@ def _assert_same_fields(a, b, skip):
 def test_trace_roundtrip(tmp_path, flat_trace):
     # No shipped ball reaches the critical polish, so a synthetic record
     # carries a float y_critical and critical_residual.
-    grid = RadialGrid(j=16.0, N=64)
-    polished = BallRecord(
-        j=16.0, y=5.4781, y_critical=5.4781,
-        field=RadialField(grid, (1.0 - grid.nodes / 16.0) ** 2,
-                          boundary="dirichlet"),
-        max_value=1.0, max_radius=0.0, boundary_max=0.01,
-        concentration=False, concentration_reason="",
-        lam_schedule=(1.5, 2.5), s_schedule=(2.5, 5.9),
+    nodes = RadialGrid(j=16.0, N=64).nodes
+    polished = dataclasses.replace(
+        _record((1.0 - nodes / 16.0) ** 2, 16.0), schedule=(2.5, 5.9),
+        lam_values=(1.5, 2.5), q_p_witness=5.5, y_critical=5.4781,
         critical_residual=3.2e-11)
     trace = dataclasses.replace(
-        flat_trace, radii=flat_trace.radii + (16.0,),
-        f_radii=flat_trace.f_radii + (16.0,),
+        flat_trace, f_radii=flat_trace.f_radii + (16.0,),
         records=flat_trace.records + (polished,))
     back = load_trace(save_trace(trace, tmp_path))
     _assert_same_fields(back, trace, skip="records")
@@ -412,6 +405,32 @@ def test_reported_y_is_quotient_of_stored_field(config, configs_dir,
         quotient = yamabe_energy(rec.field, profile) \
             / lp_norm(rec.field, p, profile) ** 2
         assert rec.y == pytest.approx(quotient, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("config", ["flat3", "bump3", "cigar3",
+                                    "hyperbolic3"])
+def test_derived_values_of_reloaded_trace(config, configs_dir, tmp_path,
+                                          capsys):
+    # The boundary maxima, the peak radius, Y_j and the radii are derived
+    # from the stored records, so the trace that exhaust writes gives the
+    # same checks as the one it computed.
+    path = configs_dir / f"{config}.json"
+    assert main(["exhaust", "--config", str(path), "--out",
+                 str(tmp_path)]) == 0
+    capsys.readouterr()
+    cfg = load_config(path)
+    profile = profile_from_config(cfg)
+    computed = _run_trace(profile, cfg)
+    loaded = load_trace(tmp_path)
+    assert loaded.radii == computed.radii == cfg.pipeline.radii
+    assert loaded.tol_mono == computed.tol_mono
+    R = cfg.pipeline.compact_radius
+    for check, args in ((boundary_bound, ()),
+                        (concentration_verdict, (R,)),
+                        (subsolution_check, (computed.largest.j, profile)),
+                        (decay_fit, (cfg.pipeline.window_frac,))):
+        assert check(loaded, *args) == check(computed, *args), \
+            check.__name__
 
 
 def test_load_trace_refuses_trace_without_profile_record(tmp_path,

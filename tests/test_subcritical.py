@@ -166,7 +166,7 @@ def test_flat_continuation_concentrates_near_lambda():
     assert result.concentration
     assert result.concentration_reason
     lam = lambda_constant(3)
-    assert result.y_best == pytest.approx(lam, rel=0.05)
+    assert result.y == pytest.approx(lam, rel=0.05)
     # the witness quotient is a rigorous upper bound of the infimum
     assert result.q_p_witness >= lam * (1 - 1e-6)
 
@@ -324,12 +324,12 @@ def test_continuation_golden_values():
     # in p - s that the lab used to report (+2.52%).
     result = continue_to_critical(manifold.euclidean(3, 2.0),
                                   RadialGrid(j=1.0, N=64))
-    assert result.lam_values == [
+    assert result.lam_values == (
         10.947978343668883, 10.54147480426828, 9.229593201046807,
         8.16493292382319, 7.390953888061803, 6.8380019857597985,
-        6.426567159487712, 6.13487576793015]
+        6.426567159487712, 6.13487576793015)
     assert result.q_p_witness == 5.625293852403004
-    assert result.y_best == result.q_p_witness
+    assert result.y == result.q_p_witness
     assert result.concentration_reason == (
         "minimizer narrowed to a grid-scale spike at s = 5.820813")
 
@@ -339,13 +339,13 @@ def test_annulus_continuation_golden_values():
     # an annulus whose continuation reaches the critical polish.
     result = continue_to_critical(manifold.euclidean(3, 20.0),
                                   RadialGrid(j=3.0, N=128, r_lo=1.0))
-    assert result.lam_values == [
+    assert result.lam_values == (
         5.724828008101042, 16.29300019294253, 23.27373321634676,
         27.476144674015565, 30.036839657892802, 31.62934106403799,
         32.63593170957828, 33.27948804712857, 33.694131341252245,
         33.96266240259235, 34.13715943628965, 34.2508045499554,
         34.32492695909199, 34.373318021546076, 34.4049301547227,
-        34.425589719262206]
+        34.425589719262206)
     assert result.y_critical == 34.46461234883754
     assert result.critical_residual == 3.1495707233427447e-12
     assert not result.concentration
@@ -469,7 +469,7 @@ def test_retry_recovering_after_exhausted_searches_golden(monkeypatch):
     result, log = _logged_continuation(
         monkeypatch, manifold.euclidean(3, 1e8), RadialGrid(j=4.252647, N=544))
     assert result.q_p_witness == 5.478102433666334
-    assert result.y_best == result.q_p_witness
+    assert result.y == result.q_p_witness
     assert result.concentration_reason == (
         "minimizer narrowed to a grid-scale spike at s = 5.949867")
     searches = _retry_searches(log)
@@ -485,15 +485,15 @@ def test_sign_restart_ball_golden_values(monkeypatch):
         monkeypatch, manifold.power_bump(3, -0.5, 0.25, 1e8),
         RadialGrid(j=8.0, N=1024))
     assert log.count(None) == 2
-    assert result.lam_values == [
+    assert result.lam_values == (
         0.7957777246808945, 3.754530734627162, 4.6288145867768,
         5.025562103128696, 5.246412128445048, 5.373501029523253,
         5.446572791317973, 5.4871292305971435, 5.507707468268741,
         5.516019524861086, 5.516999715289211, 5.513893865215239,
         5.508861670871136, 5.503314219426602, 5.498116211927537,
-        5.493724348428151]
+        5.493724348428151)
     assert result.q_p_witness == 5.48450651023175
-    assert result.y_best == result.q_p_witness
+    assert result.y == result.q_p_witness
     assert result.y_critical is None
     assert result.concentration_reason.startswith(
         "critical polish failed: Newton stalled: ")
