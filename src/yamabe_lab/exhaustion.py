@@ -8,8 +8,13 @@ compared against the empirically fitted decay of the computed fields.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -24,6 +29,7 @@ from .subcritical import (ContinuationResult, DiscreteOperator,
                           continue_to_critical)
 
 BOUNDARY_LAYER = 0.125  # thickness of U_j = {d(x, boundary) < 1/8}, fixed
+_PR_SET_PDEATHSIG = 1  # Linux prctl option: a signal for when the parent ends
 _EXTENSION_FACTOR = 2.0  # subsolution check extends u_j by zero to 2 j
 _SUBSOLUTION_TOL_REL = 1e-6  # of the largest nonlinear term
 _MIN_TAIL_POINTS = 10  # positive nodes a decay-fit window must hold
@@ -89,26 +95,130 @@ def f_at_radii(profile: MetricProfile, radii) -> tuple:
     return tuple(float(v) for v in profile.f(np.asarray(radii, dtype=float)))
 
 
-def run_exhaustion(profile: MetricProfile, radii, nodes_per_unit: int = 128,
-                   **solver_options) -> ExhaustionTrace:
-    """Continuation solve on every ball of the exhaustion.
-
-    Raises MonotonicityError when the Y_j sequence increases by more than
-    the trace's tol_mono.
-    """
+def _check_radii(radii) -> list:
+    """The radii as floats; DomainError unless there are >= 3 of them and
+    they strictly increase (the rules of an exhaustion and its trace)."""
     radii = [float(j) for j in radii]
     if len(radii) < 3:
         raise DomainError("exhaustion needs >= 3 radii")
     if radii != sorted(radii) or len(set(radii)) != len(radii):
         raise DomainError("radii must strictly increase")
+    return radii
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on.  On one, solving a ball in a child
+    only adds the fork and the pickling (measured slower in README)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _die_with(parent: int) -> None:
+    """In a forked child: on Linux have the kernel SIGKILL this process
+    when the forking thread ends, so a caller killed by a signal leaves
+    no solve running; exit at once if the caller is already gone."""
+    if sys.platform.startswith("linux"):
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _child_payload(solve, j) -> bytes:
+    """Pickled ``(True, solve(j))``, or ``(False, exception)`` for what it
+    raised; an exception the parent could not unpickle travels as a
+    ChildProcessError holding its type name and message."""
+    try:
+        return pickle.dumps((True, solve(j)))
+    except BaseException as exc:
+        try:
+            payload = pickle.dumps((False, exc))
+            pickle.loads(payload)
+            return payload
+        except Exception:
+            return pickle.dumps((False, ChildProcessError(
+                f"ball j = {j} raised {type(exc).__name__}: {exc}")))
+
+
+def _solve_largest_in_child(solve, radii) -> list:
+    """``[solve(j) for j in radii]``, the largest radius in a child process
+    made by os.fork while this process solves the others in order.
+
+    The child runs the same code on the same bits and sends its outcome
+    back pickled through a pipe; it always ends in os._exit, so it never
+    returns into the caller's frames nor flushes their stdio buffers.  The
+    child is reaped on every path: when a ball here raises (interrupts
+    included) it is killed first; on Linux it is also killed when the
+    caller dies of a signal.  A child that dies without a result raises
+    ChildProcessError.  When fork fails (no process ids or memory left,
+    or a sandbox that refuses it) every ball is solved here in order.
+    """
+    parent = os.getpid()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return [solve(j) for j in radii]
+    if pid == 0:
+        code = 1
+        try:
+            _die_with(parent)
+            os.close(read_fd)
+            payload = _child_payload(solve, radii[-1])
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            records = [solve(j) for j in radii[:-1]]
+            payload = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        pid = None
+    finally:
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not payload:
+        raise ChildProcessError(f"the process solving ball j = {radii[-1]} "
+                                f"exited with code {code} and no result")
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return records + [value]
+
+
+def run_exhaustion(profile: MetricProfile, radii, nodes_per_unit: int = 128,
+                   **solver_options) -> ExhaustionTrace:
+    """Continuation solve on every ball of the exhaustion.
+
+    With os.fork and at least two usable CPUs the largest ball is solved
+    in a child process while this one solves the others
+    (``_solve_largest_in_child``); otherwise every ball is solved here in
+    order.  Both give the same bits.
+
+    Raises MonotonicityError when the Y_j sequence increases by more than
+    the trace's tol_mono.
+    """
+    radii = _check_radii(radii)
     profile.check_radius(radii[-1])
-    records = []
-    for j in radii:
+
+    def solve(j: float) -> ContinuationResult:
         grid = RadialGrid(j=j, N=max(64, int(round(nodes_per_unit * j))))
         result = continue_to_critical(profile, grid, **solver_options)
         if result.field is None:
             raise DomainError(f"continuation on j = {j} produced no field")
-        records.append(result)
+        return result
+
+    if hasattr(os, "fork") and _usable_cpus() >= 2:
+        records = _solve_largest_in_child(solve, radii)
+    else:
+        records = [solve(j) for j in radii]
     trace = ExhaustionTrace(profile_name=profile.name, n=profile.n,
                             r_max=float(profile.r_max),
                             f_radii=f_at_radii(profile, radii),
@@ -431,7 +541,13 @@ def load_trace(path) -> ExhaustionTrace:
         records = [ContinuationResult(field=load_field_csv(
             path.parent / entry.pop("field_file"), boundary="dirichlet"),
             **_tuples(entry)) for entry in manifest["records"]]
-        return ExhaustionTrace(**_tuples(manifest | {"records": records}))
+        trace = ExhaustionTrace(**_tuples(manifest | {"records": records}))
     except (KeyError, TypeError) as exc:
         raise DomainError(f"{path} does not hold the fields of a trace: "
                           f"{exc}") from None
+    try:
+        _check_radii(trace.radii)
+    except DomainError as exc:
+        raise DomainError(
+            f"{path} is not an exhaustion trace: {exc}") from None
+    return trace

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import yamabe_lab
-from yamabe_lab import cli
+from yamabe_lab import cli, exhaustion
 from yamabe_lab.cli import main
 from yamabe_lab.exhaustion import DecayFit, ExponentReport
 
@@ -284,6 +284,36 @@ def test_exhaust_rerun_byte_identical(flat_config, tmp_path, capsys):
         (out_b / "field_j4.csv").read_bytes()
 
 
+def test_exhaust_process_matches_serial_run(configs_dir, tmp_path, capsys,
+                                           monkeypatch):
+    # A fresh exhaust process, which solves its largest ball in a forked
+    # child, prints and writes what an in-process run that solves every
+    # ball in order does; the child adds nothing to stderr.
+    if not hasattr(os, "fork") or exhaustion._usable_cpus() < 2:
+        pytest.skip("exhaust would not fork here")
+    config = str(configs_dir / "flat3.json")
+    src = str(Path(yamabe_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    forked = subprocess.run(
+        [sys.executable, "-m", "yamabe_lab.cli", "exhaust", "--config",
+         config, "--out", str(tmp_path / "forked")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert forked.returncode == 0
+    monkeypatch.setattr(exhaustion, "_usable_cpus", lambda: 1)
+    code = main(["exhaust", "--config", config,
+                 "--out", str(tmp_path / "serial")])
+    serial = capsys.readouterr()
+    assert code == 0
+    assert forked.stderr == serial.err == \
+        "  verdict: concentrates  final residual: None\n"
+    assert _strip_ts(forked.stdout) == _strip_ts(serial.out)
+    for name in ("trace.json", "field_j2.csv", "field_j4.csv",
+                 "field_j8.csv"):
+        assert (tmp_path / "forked" / name).read_bytes() == \
+            (tmp_path / "serial" / name).read_bytes(), name
+
+
 # -- stage failures exit 1 ---------------------------------------------------
 
 
@@ -313,6 +343,30 @@ def test_decay_incomplete_trace_exits_one(exhaust_out, tmp_path, capsys,
     err = capsys.readouterr().err
     _one_line_error(code, err, "decay")
     assert "does not hold the fields of a trace" in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda records: [], "exhaustion needs >= 3 radii"),
+    (lambda records: records[::-1], "radii must strictly increase"),
+], ids=["empty", "reversed"])
+def test_decay_refuses_trace_that_is_no_exhaustion(exhaust_out, tmp_path,
+                                                   capsys, flat_config, edit,
+                                                   message):
+    # load_trace takes run_exhaustion's rules for the radii: an empty
+    # trace ended in an IndexError, a reversed one took its smallest ball
+    # for j_max.
+    manifest = json.loads((exhaust_out / "trace.json").read_text())
+    for entry in manifest["records"]:
+        (tmp_path / entry["field_file"]).write_bytes(
+            (exhaust_out / entry["field_file"]).read_bytes())
+    manifest["records"] = edit(manifest["records"])
+    manifest["f_radii"] = [r["j"] for r in manifest["records"]]
+    (tmp_path / "trace.json").write_text(json.dumps(manifest))
+    code = main(["decay", "--config", flat_config,
+                 "--trace", str(tmp_path / "trace.json")])
+    err = capsys.readouterr().err
+    _one_line_error(code, err, "decay")
+    assert f"is not an exhaustion trace: {message}" in err
 
 
 def test_decay_trace_of_another_profile_exits_one(configs_dir, tmp_path,

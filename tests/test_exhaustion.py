@@ -3,6 +3,12 @@
 import dataclasses
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +29,7 @@ from yamabe_lab.exhaustion import (ExhaustionTrace, beta0_select,
                                    subsolution_check)
 from yamabe_lab.functional import lambda_constant
 from yamabe_lab.radial import RadialField, RadialGrid, lp_norm, yamabe_energy
-from yamabe_lab.subcritical import ContinuationResult
+from yamabe_lab.subcritical import ContinuationResult, continue_to_critical
 
 
 # -- run_exhaustion ----------------------------------------------------------
@@ -56,6 +62,238 @@ def test_monotonicity_tripwire(flat_profile, monkeypatch):
     monkeypatch.setattr(exhaustion, "_TOL_MONO_REL", 0.0)
     with pytest.raises(MonotonicityError):
         run_exhaustion(flat_profile, (2.0, 4.0, 8.0), nodes_per_unit=64)
+
+
+# -- the largest ball in a forked child --------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs whatever the machine, and a count of the forks."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(exhaustion, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _bits(rec: ContinuationResult) -> tuple:
+    return (repr(rec.j), repr(rec.y), tuple(map(repr, rec.schedule)),
+            tuple(map(repr, rec.lam_values)), rec.concentration_reason,
+            repr(rec.critical_residual), rec.field.values.tobytes())
+
+
+@needs_fork
+@pytest.mark.parametrize("config", ["flat3", "bump3"])
+def test_forked_exhaustion_matches_serial_balls(config, configs_dir, forks):
+    # The child runs the same code on the same bits, and pickle carries
+    # floats and arrays exactly.  bump3 B_8's polish fails, so its
+    # ConvergenceError text crosses the pipe in concentration_reason.
+    cfg = load_config(configs_dir / f"{config}.json")
+    profile = profile_from_config(cfg)
+    assert cfg.pipeline.radii == (2.0, 4.0, 8.0)
+    assert cfg.grid.nodes_per_unit == 128
+    trace = _run_trace(profile, cfg)
+    assert len(forks) == 1
+    sol = cfg.solver
+    for rec in trace.records:
+        alone = continue_to_critical(
+            profile, RadialGrid(j=rec.j, N=int(128 * rec.j)),
+            s_start=sol.s_start, count=sol.count, eps_s=sol.eps_s,
+            tol=sol.tol, max_iters=sol.max_iters)
+        assert _bits(rec) == _bits(alone), rec.j
+    if config == "bump3":
+        assert trace.largest.concentration_reason.startswith(
+            "critical polish failed: Newton stalled")
+    _assert_no_child_left()
+
+
+def _open_fds() -> set:
+    return set(os.listdir("/proc/self/fd"))
+
+
+@needs_fork
+@pytest.mark.parametrize("refuse", ["one_cpu", "no_fork", "fork_fails"])
+def test_exhaustion_without_fork_matches_forked(refuse, flat_profile, forks,
+                                                monkeypatch):
+    # fork_fails: fork raises as it does when process ids or memory run
+    # out; the balls are solved here and the pipe is closed.
+    forked = run_exhaustion(flat_profile, (2.0, 4.0, 8.0))
+    assert len(forks) == 1
+
+    def fork():
+        raise AssertionError("os.fork called")
+
+    def fork_fails():
+        forks.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    if refuse == "one_cpu":
+        monkeypatch.setattr(exhaustion, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(os, "fork", fork)
+    elif refuse == "no_fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", fork_fails)
+    fds = _open_fds() if os.path.isdir("/proc/self/fd") else None
+    serial = run_exhaustion(flat_profile, (2.0, 4.0, 8.0))
+    assert serial.f_radii == forked.f_radii
+    assert list(map(_bits, serial.records)) == \
+        list(map(_bits, forked.records))
+    assert len(forks) == (2 if refuse == "fork_fails" else 1)
+    if fds is not None:
+        assert _open_fds() == fds
+    _assert_no_child_left()
+
+
+class _TwoArgError(Exception):
+    # Pickles, but unpickling calls __init__ with the message alone.
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def _patch_balls(monkeypatch, actions):
+    """continue_to_critical first runs ``actions[j]()`` on the ball of
+    radius j; fork carries the patch into the child."""
+    def patched(profile, grid, **options):
+        if grid.j in actions:
+            actions[grid.j]()
+        return continue_to_critical(profile, grid, **options)
+
+    monkeypatch.setattr(exhaustion, "continue_to_critical", patched)
+
+
+def _raise(exc):
+    def action():
+        raise exc
+    return action
+
+
+@needs_fork
+@pytest.mark.parametrize("exc, expected_type, expected", [
+    (DomainError("child ball refused"), DomainError, "child ball refused"),
+    (MonotonicityError("Y_j went up"), MonotonicityError, "Y_j went up"),
+    (_TwoArgError("odd", "j = 4"), ChildProcessError,
+     "ball j = 4.0 raised _TwoArgError: odd at j = 4"),
+], ids=["domain", "monotonicity", "does_not_unpickle"])
+def test_child_exception_reaches_the_caller(exc, expected_type, expected,
+                                            flat_profile, forks, monkeypatch):
+    _patch_balls(monkeypatch, {4.0: _raise(exc)})
+    with pytest.raises(expected_type) as info:
+        run_exhaustion(flat_profile, (1.0, 2.0, 4.0), nodes_per_unit=32)
+    assert type(info.value) is expected_type
+    assert str(info.value) == expected
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("exc", [DomainError("parent ball refused"),
+                                 KeyboardInterrupt()],
+                         ids=["domain", "interrupt"])
+def test_parent_ball_failure_reaps_the_child(exc, flat_profile, forks,
+                                             monkeypatch):
+    # The child's ball would take a minute: the parent kills it.
+    _patch_balls(monkeypatch, {2.0: _raise(exc),
+                               4.0: lambda: time.sleep(60.0)})
+    start = time.monotonic()
+    with pytest.raises(type(exc)):
+        run_exhaustion(flat_profile, (1.0, 2.0, 4.0), nodes_per_unit=32)
+    assert time.monotonic() - start < 30.0
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_child_death_is_a_stage_error(forks, monkeypatch, tmp_path, capsys):
+    _patch_balls(monkeypatch, {4.0: lambda: os._exit(3)})
+    flat = manifold.euclidean(3, r_max=1e8)
+    with pytest.raises(ChildProcessError,
+                       match="ball j = 4.0 exited with code 3 and no result"):
+        run_exhaustion(flat, (1.0, 2.0, 4.0), nodes_per_unit=32)
+    _assert_no_child_left()
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps({
+        "profile": {"name": "euclidean", "n": 3, "r_max": 1e8},
+        "grid": {"nodes_per_unit": 32},
+        "pipeline": {"radii": [1.0, 2.0, 4.0], "compact_radius": 0.5}}))
+    code = main(["exhaust", "--config", str(config),
+                 "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error [exhaust]: ChildProcessError: ")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "out" / "trace.json").exists()
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="PR_SET_PDEATHSIG is Linux's")
+def test_child_dies_with_a_caller_killed_by_a_signal(tmp_path):
+    # SIGKILL runs no finally block in the caller; the kernel kills the
+    # child, which would otherwise solve its ball (here: sleep) to the end.
+    pid_file = tmp_path / "child.pid"
+    script = f"""
+import os, time
+from yamabe_lab import exhaustion, manifold
+
+def patched(profile, grid, **options):
+    if grid.j == 4.0:
+        with open({str(pid_file)!r} + ".part", "w") as out:
+            out.write(str(os.getpid()))
+        os.rename({str(pid_file)!r} + ".part", {str(pid_file)!r})
+    time.sleep(120.0)
+
+exhaustion._usable_cpus = lambda: 2
+exhaustion.continue_to_critical = patched
+exhaustion.run_exhaustion(manifold.euclidean(3, r_max=1e8), (1.0, 2.0, 4.0),
+                          nodes_per_unit=32)
+"""
+    src = str(Path(exhaustion.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    caller = subprocess.Popen([sys.executable, "-c", script], env=env)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not pid_file.exists():
+            assert caller.poll() is None, "the caller ended early"
+            assert time.monotonic() < deadline, "no child started"
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+    finally:
+        caller.kill()
+        caller.wait()
+    deadline = time.monotonic() + 10.0
+    try:
+        while _running(child):
+            assert time.monotonic() < deadline, \
+                "the child outlived its caller"
+            time.sleep(0.05)
+    finally:
+        if _running(child):
+            os.kill(child, signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 # -- subsolution check -------------------------------------------------------
