@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Print one line per distinct ball of the benchmark's ``balls`` inputs.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python3 scripts/ball_digest.py 1-7 > digest.txt
+
+SEEDS is a comma list of seeds and ranges, such as ``1,3,5-7``.  The
+inputs are those of ``perfbench/inputs.py``; each ball is solved once, as
+``run_exhaustion`` solves it, in the order the inputs first name it.  A
+line holds the config name, the radius ``j``, ``repr(Y_j)``, the
+multipliers ``lam_values``, the full concentration reason and the sha256
+of the stored field's values.  Equal output from two checkouts means
+equal ball records, bit for bit, so a change that claims to keep every
+answer can be checked with ``diff``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+from yamabe_lab.config import load_config, profile_from_config
+from yamabe_lab.exhaustion import solve_ball
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def parse_seeds(text: str) -> list:
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def digest_lines(seeds) -> list:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import inputs
+
+    seen, lines = set(), []
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            out = Path(tmp) / f"seed{seed}"
+            out.mkdir()
+            for op in inputs.ball_inputs(ROOT, seed, out):
+                config = load_config(op["path"])
+                profile = profile_from_config(config)
+                sol = config.solver
+                for j in config.pipeline.radii:
+                    if (op["config"], j) in seen:
+                        continue
+                    seen.add((op["config"], j))
+                    rec = solve_ball(
+                        profile, j, config.grid.nodes_per_unit,
+                        s_start=sol.s_start, count=sol.count,
+                        eps_s=sol.eps_s, tol=sol.tol,
+                        max_iters=sol.max_iters)
+                    sha = hashlib.sha256(rec.field.values.tobytes())
+                    lines.append(
+                        f"{op['config']} j={j!r} y={rec.y!r} "
+                        f"lam_values={list(rec.lam_values)!r} "
+                        f"reason={rec.concentration_reason!r} "
+                        f"field={sha.hexdigest()}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("seeds", help="seeds and ranges, such as 1,3,5-7")
+    args = parser.parse_args(argv)
+    for line in digest_lines(parse_seeds(args.seeds)):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -368,11 +368,12 @@ def main(argv=None) -> int:
             config = config.with_overrides(
                 **{flag: _parse_csv_floats(value, f"--{flag}")})
         payload = fn(config, args)
+        _emit(_envelope(args.command, config, payload), args.out,
+              args.command)
     except STAGE_ERRORS as exc:
         print(f"error [{args.command}]: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 1
-    _emit(_envelope(args.command, config, payload), args.out, args.command)
     return 0
 
 

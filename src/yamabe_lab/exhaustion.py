@@ -193,6 +193,17 @@ def _solve_largest_in_child(solve, radii) -> list:
     return records + [value]
 
 
+def solve_ball(profile: MetricProfile, j: float, nodes_per_unit: int = 128,
+               **solver_options) -> ContinuationResult:
+    """Continuation solve on the ball of radius ``j`` of an exhaustion, on
+    ``nodes_per_unit`` cells per unit radius (at least 64 cells)."""
+    grid = RadialGrid(j=j, N=max(64, int(round(nodes_per_unit * j))))
+    result = continue_to_critical(profile, grid, **solver_options)
+    if result.field is None:
+        raise DomainError(f"continuation on j = {j} produced no field")
+    return result
+
+
 def run_exhaustion(profile: MetricProfile, radii, nodes_per_unit: int = 128,
                    **solver_options) -> ExhaustionTrace:
     """Continuation solve on every ball of the exhaustion.
@@ -209,11 +220,7 @@ def run_exhaustion(profile: MetricProfile, radii, nodes_per_unit: int = 128,
     profile.check_radius(radii[-1])
 
     def solve(j: float) -> ContinuationResult:
-        grid = RadialGrid(j=j, N=max(64, int(round(nodes_per_unit * j))))
-        result = continue_to_critical(profile, grid, **solver_options)
-        if result.field is None:
-            raise DomainError(f"continuation on j = {j} produced no field")
-        return result
+        return solve_ball(profile, j, nodes_per_unit, **solver_options)
 
     if hasattr(os, "fork") and _usable_cpus() >= 2:
         records = _solve_largest_in_child(solve, radii)

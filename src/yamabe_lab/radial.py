@@ -7,7 +7,6 @@ operator the exact Euler-Lagrange derivative of the discrete energy.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -138,11 +137,12 @@ def yamabe_energy(u: RadialField, profile: MetricProfile) -> float:
 
 
 def save_field_csv(u: RadialField, path) -> None:
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["r", "u"])
-        for r, v in zip(u.grid.nodes, u.values):
-            writer.writerow([repr(float(r)), repr(float(v))])
+    """Write ``r,u`` and one ``repr(r),repr(u)`` row per node, with CRLF
+    line ends: the bytes of ``csv.writer``, whose quoting no float repr
+    triggers."""
+    rows = [f"{r!r},{v!r}\r\n"
+            for r, v in zip(u.grid.nodes.tolist(), u.values.tolist())]
+    Path(path).write_text("r,u\r\n" + "".join(rows), newline="")
 
 
 def load_field_csv(path, boundary="free") -> RadialField:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
@@ -29,6 +30,8 @@ _PG_ITERS = 400  # Barzilai-Borwein steps of the projected-gradient relocation
 _MAX_HALVINGS = 20  # step halvings per Newton line search
 _STALL_ITERS = 8  # exhausted line searches in a row that end the retry
 _MIN_HALFWIDTH_NODES = 4  # half-max width, in cells, of a grid-scale spike
+# Step lengths 2^-k, k = 0.._MAX_HALVINGS, of one line search.
+_STEPS = np.ldexp(1.0, -np.arange(_MAX_HALVINGS + 1))
 
 
 # -- tridiagonal solve -------------------------------------------------------
@@ -60,14 +63,26 @@ def solve_banded(l_and_u, ab, b):
 # -- discrete operator -------------------------------------------------------
 
 
-def _odd_power(u, q):
-    """|u|^q sign(u): the odd extension of t^q, smooth enough for Newton."""
-    return np.sign(u) * np.abs(u) ** q
+class Trial(NamedTuple):
+    """One evaluated line-search trial: the normalized point, its Rayleigh
+    multiplier, weak residual, odd power |u|^{s-1} sign(u) and strong
+    residual norm."""
+
+    u: np.ndarray
+    lam: float
+    res: np.ndarray
+    phi: np.ndarray
+    norm: float
 
 
 class DiscreteOperator:
     """Energy matrix A (tridiagonal, all nodes), quadrature weights W, and
-    the discrete functional: energy, L^s constraint, weak residual."""
+    the discrete functional: energy, L^s constraint, weak residual.
+
+    The operator also owns the work arrays of the solver loop (the trial
+    block, the Newton step's banded matrix and right-hand side), so it
+    serves one solve at a time.
+    """
 
     def __init__(self, profile: MetricProfile, grid: RadialGrid):
         profile.check_radius(grid.j)
@@ -97,6 +112,16 @@ class DiscreteOperator:
         # equation is not dropped.
         self._w_strong = self._w_u.copy()
         self._w_strong[self._w_strong == 0.0] = wm[0] * h
+        # Work arrays of the solver loop.  The trial blocks, one row per
+        # trial of a line search, are made by the first solve that uses
+        # them (_trial_blocks), so an operator that only evaluates the
+        # functional holds none.
+        m = self.n_unknowns
+        self._x = self._res = self._phi = self._work = None
+        self._col = np.empty((len(_STEPS), 1))
+        self._ab = self.banded(np.zeros(m))
+        self._rhs = np.empty((m, 2), order="F")
+        self._dphi = np.empty(m)
 
     @property
     def n_unknowns(self):
@@ -107,11 +132,19 @@ class DiscreteOperator:
         v[self.lo:self.hi] = u_unknown
         return v
 
+    def _apply_into(self, x, out, work) -> None:
+        """out = A x for a vector x, or for each row of a block x; ``work``
+        is scratch of x's shape."""
+        np.multiply(self._diag_u, x, out)
+        np.multiply(self._off_u, x[..., 1:], work[..., :-1])
+        out[..., :-1] += work[..., :-1]
+        np.multiply(self._off_u, x[..., :-1], work[..., 1:])
+        out[..., 1:] += work[..., 1:]
+
     def apply(self, u_unknown):
         """A u on the unknown block (dirichlet nodes are zero)."""
-        out = self._diag_u * u_unknown
-        out[:-1] += self._off_u * u_unknown[1:]
-        out[1:] += self._off_u * u_unknown[:-1]
+        out, work = np.empty((2, len(u_unknown)))
+        self._apply_into(u_unknown, out, work)
         return out
 
     def energy(self, u_unknown) -> float:
@@ -133,26 +166,176 @@ class DiscreteOperator:
         """sum_i W_i |u_i|^s: the discrete L^s norm to the power s."""
         return float(self._w_u @ np.abs(u_unknown) ** s)
 
+    def _collapsed(self, u_unknown):
+        return ConvergenceError("iterate collapsed to zero",
+                                last_iterate=self.full_values(u_unknown))
+
+    def _normalize_into(self, x, work, s: float) -> bool:
+        """Scale the vector x to unit L^s norm in place; False, with x
+        unchanged, if that norm is zero or not finite."""
+        np.abs(x, work)
+        work **= s
+        norm = float(self._w_u @ work) ** (1.0 / s)
+        if norm == 0.0 or not math.isfinite(norm):
+            return False
+        x /= norm
+        return True
+
+    def _residual_into(self, x, res, phi, work, s: float,
+                       lam: float | None = None):
+        """Weak residual A x - lam W phi of the vector x, or of each row of
+        the block x, into ``res``, with phi = |x|^{s-1} sign(x), the odd
+        extension of t^{s-1}, into ``phi``.  lam defaults to the Rayleigh
+        multiplier x^T A x, from the same A x; a block always takes those,
+        one per row, and returns them as a list."""
+        self._apply_into(x, res, work)
+        np.abs(x, phi)
+        phi **= s - 1.0
+        np.sign(x, work)
+        phi *= work
+        if x.ndim == 1:
+            if lam is None:
+                lam = float(x @ res)
+            np.multiply(lam, self._w_u, work)
+        else:
+            lam = [float(row @ ax) for row, ax in zip(x, res)]
+            col = self._col[:len(lam)]
+            col[:, 0] = lam
+            np.multiply(col, self._w_u, work)
+        work *= phi
+        res -= work
+        return lam
+
     def normalize(self, u_unknown, s: float):
         """u scaled to unit L^s norm; ConvergenceError if that norm is zero
         or not finite."""
-        norm = self.constraint(u_unknown, s) ** (1.0 / s)
-        if norm == 0.0 or not np.isfinite(norm):
-            raise ConvergenceError("iterate collapsed to zero",
-                                   last_iterate=self.full_values(u_unknown))
-        return u_unknown / norm
+        x = np.array(u_unknown, dtype=float)
+        if not self._normalize_into(x, np.empty_like(x), s):
+            raise self._collapsed(u_unknown)
+        return x
 
     def residual(self, u_unknown, s: float, lam: float | None = None):
         """(lam, A u - lam W |u|^{s-2} u), the weak Euler-Lagrange residual;
         lam defaults to the Rayleigh multiplier u^T A u, from the same A u."""
-        au = self.apply(u_unknown)
-        if lam is None:
-            lam = float(u_unknown @ au)
-        return lam, au - lam * self._w_u * _odd_power(u_unknown, s - 1.0)
+        res, phi, work = np.empty((3, len(u_unknown)))
+        lam = self._residual_into(u_unknown, res, phi, work, s, lam)
+        return lam, res
 
-    def strong_norm(self, residual_vector) -> float:
-        """Discrete L^2 norm of a residual given in weak (weighted) form."""
-        return math.sqrt((residual_vector**2 / self._w_strong).sum())
+    def strong_norm(self, residual_vector):
+        """Discrete L^2 norm of a residual given in weak (weighted) form;
+        one norm per row of a 2-D block."""
+        squares = np.add.reduce(residual_vector**2 / self._w_strong, -1)
+        if residual_vector.ndim == 1:
+            return math.sqrt(squares)
+        return np.sqrt(squares)
+
+    def _trial_blocks(self) -> None:
+        if self._x is None:
+            self._x, self._res, self._phi, self._work = np.empty(
+                (4, len(_STEPS), self.n_unknowns))
+
+    def _evaluate_point(self, x, res, phi, work, s: float) -> float | None:
+        """``normalize`` then ``residual`` of the vector x in place, with its
+        residual and odd power |x|^{s-1} sign(x) into ``res`` and ``phi``;
+        returns its multiplier, or None, with x unchanged, if its L^s norm
+        is zero or not finite."""
+        if not self._normalize_into(x, work, s):
+            return None
+        return self._residual_into(x, res, phi, work, s)
+
+    def _evaluate_block(self, k: int, s: float) -> list:
+        """``_evaluate_point`` of rows 0..k-1 of the trial block at once, up
+        to the first row whose L^s norm is zero or not finite; returns the
+        multipliers of the rows before it.
+
+        The operations of the 1-D path in the same order: elementwise ones
+        on the whole block, every reduction on one row in 1-D, so each row
+        has the bits of ``_evaluate_point``.  Norms and multipliers enter
+        the block as the column ``_col``.
+        """
+        x, work, col = self._x[:k], self._work[:k], self._col[:k]
+        w, inv_s = self._w_u, 1.0 / s
+        np.abs(x, work)
+        work **= s
+        ok = 0
+        for power in work:
+            norm = float(w @ power) ** inv_s
+            if norm == 0.0 or not math.isfinite(norm):
+                break
+            col[ok] = norm
+            ok += 1
+        x = x[:ok]
+        x /= col[:ok]
+        return self._residual_into(x, self._res[:ok], self._phi[:ok],
+                                   work[:ok], s)
+
+    def trials(self, s: float, u_unknown, du=None, steps=None,
+               block: bool = False):
+        """The trial kernel: normalize, residual and strong norm of the
+        points u + t du, t in ``steps``, or of u itself when du is None.
+
+        Yields one Trial per point, in order; its arrays are views of row
+        k of the operator's work blocks for the k-th point, which the next
+        call overwrites.  With ``block`` every point is evaluated before
+        the first is yielded, as one (K, m) block; otherwise each point is
+        evaluated only when it is asked for.  Both give the bits of
+        ``normalize``, ``residual`` and ``strong_norm``.  Reaching a point
+        whose L^s norm is zero or not finite raises
+        ConvergenceError("iterate collapsed to zero"), as ``normalize``
+        does, and the points after it are not evaluated.
+        """
+        self._trial_blocks()
+        x, res, phi = self._x, self._res, self._phi
+        if block and du is not None:
+            k = len(steps)
+            np.multiply(steps[:, None], du, x[:k])
+            x[:k] += u_unknown
+            lams = self._evaluate_block(k, s)
+            norms = self.strong_norm(res[:len(lams)]).tolist()
+            for i, (lam, norm) in enumerate(zip(lams, norms)):
+                yield Trial(x[i], lam, res[i], phi[i], norm)
+            if len(lams) < k:
+                raise self._collapsed(x[len(lams)])
+            return
+        if du is None:  # the one point u itself
+            x[0] = u_unknown
+            steps = (None,)
+        for row, res_row, phi_row, work, step in zip(x, res, phi, self._work,
+                                                     steps):
+            if du is not None:
+                np.multiply(step, du, row)
+                row += u_unknown
+            lam = self._evaluate_point(row, res_row, phi_row, work, s)
+            if lam is None:
+                raise self._collapsed(row)
+            yield Trial(row, lam, res_row, phi_row, self.strong_norm(res_row))
+
+    def newton_direction(self, trial: Trial, s: float):
+        """Newton step du at an accepted trial (u at unit L^s norm) for the
+        Euler-Lagrange system bordered by the normalization row."""
+        u, lam, phi, w = trial.u, trial.lam, trial.phi, self._w_u
+        dphi, ab, rhs = self._dphi, self._ab, self._rhs
+        np.abs(u, dphi)
+        dphi **= s - 2.0
+        dphi *= s - 1.0
+        np.multiply(-lam, w, ab[1])
+        ab[1] *= dphi
+        ab[1] += self._diag_u
+        rhs[:, 0] = trial.res
+        np.multiply(w, phi, rhs[:, 1])
+        np.negative(rhs[:, 1], rhs[:, 1])
+        try:
+            sol = solve_banded((1, 1), ab, rhs)
+        except LinAlgError:
+            ab[1] += 1e-10 * (1.0 + np.abs(ab[1]))
+            sol = solve_banded((1, 1), ab, rhs)
+        x_res, x_lam = sol[:, 0], sol[:, 1]
+        g_row = s * w * phi
+        denom = float(g_row @ x_lam)
+        g_res = self.constraint(u, s) - 1.0
+        dlam = ((g_res - float(g_row @ x_res)) / denom) \
+            if denom != 0.0 else 0.0
+        return -x_res - dlam * x_lam
 
 
 # -- first Dirichlet eigenpair (inverse iteration) ---------------------------
@@ -205,22 +388,44 @@ def _projected_gradient(op: DiscreteOperator, s: float, u0):
     (admissible: the ground state is nonnegative); the gradient is the
     weak residual.  Used to relocate a stalled Newton iterate.
     """
-    u = op.normalize(np.maximum(u0, 0.0), s)
+    # Rows 0 and 1 of the operator's work blocks hold the iterate and the
+    # one before it, in turn: point, gradient, odd power and scratch.
+    op._trial_blocks()
+    rows = [(op._x[k], op._res[k], op._phi[k], op._work[k]) for k in (0, 1)]
+    k = 0
+    u, grad, _, _ = rows[k]
+    np.maximum(u0, 0.0, out=u)
+    if op._evaluate_point(*rows[k], s) is None:
+        raise op._collapsed(u)
     step = 1.0 / max(1.0, float(np.max(np.abs(op.diag))))
     u_old = grad_old = None
     for _ in range(_PG_ITERS):
-        _, grad = op.residual(u, s)
         if u_old is not None:
             du, dg = u - u_old, grad - grad_old
             denom = float(du @ dg)
             if denom > 1e-300:
                 step = float(du @ du) / denom
+        k = 1 - k
         u_old, grad_old = u, grad
-        try:
-            u = op.normalize(np.maximum(u - step * grad, 0.0), s)
-        except ConvergenceError:
-            return u_old
-    return u
+        u, grad, _, _ = rows[k]
+        np.multiply(step, grad_old, u)
+        np.subtract(u_old, u, u)
+        np.maximum(u, 0.0, out=u)
+        if op._evaluate_point(*rows[k], s) is None:
+            return u_old.copy()
+    return u.copy()
+
+
+def _line_search(op: DiscreteOperator, s: float, u, du, res_norm: float,
+                 block: bool) -> Trial:
+    """Backtracking on the strong residual norm (Nocedal & Wright 2006,
+    sec. 3.1): the first trial u + 2^-k du, k = 0.._MAX_HALVINGS, whose
+    norm is below ``res_norm``, else the last one.  The trials are
+    evaluated one at a time, or all as one block when ``block``."""
+    for trial in op.trials(s, u, du, _STEPS, block):
+        if trial.norm < res_norm:
+            return trial
+    return trial
 
 
 def solve_subcritical(op: DiscreteOperator, s: float,
@@ -233,7 +438,6 @@ def solve_subcritical(op: DiscreteOperator, s: float,
     p = critical_exponent(op.profile.n)
     if not 2.0 < s <= p:
         raise DomainError(f"need 2 < s <= p = {p:.4f}, got s = {s}")
-    w = op.weights()
 
     if init is None:
         _, init = first_eigenpair(op)
@@ -246,56 +450,36 @@ def solve_subcritical(op: DiscreteOperator, s: float,
     def newton_from(u, stall_limit):
         # stall_limit: exhausted line searches in a row that end the run
         # (None: the run may use all max_iters iterations).
-        u = op.normalize(u, s)
-        lam, res = op.residual(u, s)
-        res_norm = op.strong_norm(res)
+        # cur: the iterate as a Trial, its u copied out of the trial block,
+        # which the next search overwrites.
+        [cur] = op.trials(s, u)
+        cur = Trial(cur.u.copy(), *cur[1:])
         iterations = stalled = 0
+        exhausted = False
         for iterations in range(1, max_iters + 1):
-            if res_norm <= tol:
+            if cur.norm <= tol:
                 break
-            phi = _odd_power(u, s - 1.0)
-            dphi = (s - 1.0) * np.abs(u) ** (s - 2.0)
-            ab = op.banded(shift_diag=-lam * w * dphi)
-            rhs = np.column_stack([res, -w * phi])
-            try:
-                sol = solve_banded((1, 1), ab, rhs)
-            except LinAlgError:
-                ab[1] += 1e-10 * (1.0 + np.abs(ab[1]))
-                sol = solve_banded((1, 1), ab, rhs)
-            x_res, x_lam = sol[:, 0], sol[:, 1]
-            # Bordered system: the normalization row fixes dlam.
-            g_row = s * w * phi
-            denom = float(g_row @ x_lam)
-            g_res = op.constraint(u, s) - 1.0
-            dlam = ((g_res - float(g_row @ x_res)) / denom) \
-                if denom != 0.0 else 0.0
-            du = -x_res - dlam * x_lam
-
-            step = 1.0
-            for _ in range(_MAX_HALVINGS + 1):
-                u_try = op.normalize(u + step * du, s)
-                lam_try, res_try = op.residual(u_try, s)
-                norm_try = op.strong_norm(res_try)
-                if norm_try < res_norm or step < 2.0**-_MAX_HALVINGS:
-                    break
-                step /= 2.0
-            exhausted = norm_try >= res_norm
-            if exhausted and res_norm <= 1e3 * tol:
+            du = op.newton_direction(cur, s)
+            # A search that follows one that ran out of halvings mostly
+            # runs out too, so it evaluates all its trials as one block.
+            trial = _line_search(op, s, cur.u, du, cur.norm, exhausted)
+            exhausted = trial.norm >= cur.norm
+            if exhausted and cur.norm <= 1e3 * tol:
                 break  # stagnation at near-roundoff residual
             stalled = stalled + 1 if exhausted else 0
             if stalled == stall_limit:
                 raise ConvergenceError(
                     f"Newton stalled: {stalled} line searches in a row ran "
-                    f"out of halvings (residual {res_norm:.3e}, s = {s})",
-                    last_iterate=op.full_values(u))
-            u, lam, res, res_norm = u_try, lam_try, res_try, norm_try
+                    f"out of halvings (residual {cur.norm:.3e}, s = {s})",
+                    last_iterate=op.full_values(cur.u))
+            cur = Trial(trial.u.copy(), *trial[1:])
         else:
-            if res_norm > tol:
+            if cur.norm > tol:
                 raise ConvergenceError(
                     f"Newton did not reach tol {tol:.1e} in {max_iters} "
-                    f"iterations (residual {res_norm:.3e}, s = {s})",
-                    last_iterate=op.full_values(u))
-        return u, lam, res_norm, iterations
+                    f"iterations (residual {cur.norm:.3e}, s = {s})",
+                    last_iterate=op.full_values(cur.u))
+        return cur.u, cur.lam, cur.norm, iterations
 
     def run_restarts(u, stall_limit):
         # Newton may land on a sign-changing critical point (seen on wide

@@ -505,6 +505,32 @@ def test_negative_eps_s_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("constants", ()), ("bubble", ("--alphas", "0.2,0.1,0.05")),
+    ("decay", ("--trace", "trace.json")),
+    ("blowup", ("--field", "field_j4.csv")), ("exhaust", ())])
+def test_out_naming_a_file_exits_one(flat_config, exhaust_out, tmp_path,
+                                      capsys, command, extra):
+    # --out names an existing file, so the report directory cannot be
+    # made: after its summary lines on stderr, every command ends with a
+    # one-line error and prints no report.
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    extra = [str(exhaust_out / arg) if arg.endswith((".json", ".csv"))
+             else arg for arg in extra]
+    code = main([command, "--config", flat_config, *extra,
+                 "--out", str(taken)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error [")]
+    assert errors == [captured.err.splitlines()[-1]]
+    assert errors[0].startswith(f"error [{command}]: FileExistsError")
+    assert taken.read_text() == ""
+
+
 def test_empty_field_csv_exits_one(flat_config, tmp_path, capsys):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -1,5 +1,6 @@
 """Grids, quadrature, operators, energies, and field serialization."""
 
+import csv
 import math
 
 import numpy as np
@@ -232,13 +233,22 @@ def test_field_csv_roundtrip_exact(tmp_path):
     grid = RadialGrid(j=1.0, N=64, r_lo=0.25)
     rng = np.random.default_rng(7)
     vals = rng.standard_normal(65)
+    vals[:4] = (-0.0, 1e-300, -2.5e16, 5e-324)
     u = RadialField(grid, vals, boundary="free")
     path = tmp_path / "field.csv"
     save_field_csv(u, path)
     back = load_field_csv(path)
     # repr() serialization makes the roundtrip bit-exact.
     assert np.array_equal(back.values, vals)
+    assert np.array_equal(np.signbit(back.values), np.signbit(vals))
     assert back.grid == grid
+    # The bytes csv.writer wrote before the rows were joined directly.
+    with (tmp_path / "reference.csv").open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["r", "u"])
+        for r, v in zip(grid.nodes, vals):
+            writer.writerow([repr(float(r)), repr(float(v))])
+    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_field_csv_rejects_nonuniform(tmp_path):

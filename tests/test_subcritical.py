@@ -315,6 +315,107 @@ def test_operator_constraint_normalize_and_residual(profile, grid):
             op.normalize(bad, s)
 
 
+def _bits(value):
+    """The bytes of a float or an array: -0.0 and 0.0 differ."""
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _reference_trial(op, point, s):
+    """Normalize, residual and strong norm of one point, written out as the
+    solver loop did before its trial kernel; None on a collapse."""
+    w = op.weights()
+    norm = float(w @ np.abs(point) ** s) ** (1.0 / s)
+    if norm == 0.0 or not np.isfinite(norm):
+        return None
+    u = point / norm
+    au = _old_apply(op, u)
+    lam = float(u @ au)
+    res = au - lam * w * (np.sign(u) * np.abs(u) ** (s - 1.0))
+    return u, lam, res, _old_strong_norm(op, res)
+
+
+def _kernel_rows(op, s, u, du, block):
+    """(u, lam, res, phi, norm) of each trial, copied out of the work
+    blocks, and the error that ended the trials, if any."""
+    rows = []
+    try:
+        for t in op.trials(s, u, du, subcritical._STEPS, block):
+            rows.append((t.u.copy(), t.lam, t.res.copy(), t.phi.copy(),
+                         t.norm))
+    except ConvergenceError as exc:
+        return rows, exc
+    return rows, None
+
+
+@pytest.mark.parametrize("grid", [
+    RadialGrid(j=255 / 128, N=255), RadialGrid(j=511 / 128, N=511),
+    RadialGrid(j=543 / 128, N=543), RadialGrid(j=1023 / 128, N=1023),
+    RadialGrid(j=3.0, N=384, r_lo=1.0),
+])
+def test_trial_block_matches_one_row_evaluation_bitwise(grid):
+    # All 21 trials u + 2^-k du of a line search as one block, as 21
+    # one-row evaluations, through normalize -> residual -> strong_norm,
+    # and through the formulas the solver loop used before the kernel:
+    # the same bits, on grids whose rows start at every alignment.  The
+    # exponents take numpy's power fast paths (s - 1 = 2, s - 2 = 0.5).
+    op = DiscreteOperator(manifold.power_bump(3, -0.5, 0.25, 1e8), grid)
+    m = op.n_unknowns
+    rng = np.random.default_rng(m)
+    u = rng.standard_normal(m)
+    du = 0.3 * rng.standard_normal(m)
+    u[m // 3], du[m // 3] = -0.0, -0.0  # a -0.0 in every trial point
+    u[m // 2], du[m // 2] = 0.0, 0.0
+    for s in (2.5, 3.0, 4.7, critical_exponent(3)):
+        block, error = _kernel_rows(op, s, u, du, block=True)
+        one_by_one, error_1 = _kernel_rows(op, s, u, du, block=False)
+        assert error is None and error_1 is None
+        assert len(block) == len(subcritical._STEPS)
+        for k, (row, row_1) in enumerate(zip(block, one_by_one)):
+            assert [_bits(a) for a in row] == [_bits(a) for a in row_1]
+            point = u + 2.0**-k * du
+            trial_u, lam, res, phi, norm = row
+            ref_u, ref_lam, ref_res, ref_norm = _reference_trial(op, point,
+                                                                 s)
+            assert _bits(trial_u) == _bits(ref_u) \
+                == _bits(op.normalize(point, s))
+            assert _bits(lam) == _bits(ref_lam)
+            assert _bits(res) == _bits(ref_res)
+            lam_1d, res_1d = op.residual(trial_u, s)
+            assert (lam, _bits(res)) == (lam_1d, _bits(res_1d))
+            assert _bits(phi) == _bits(np.sign(trial_u)
+                                       * np.abs(trial_u) ** (s - 1.0))
+            assert _bits(norm) == _bits(ref_norm) \
+                == _bits(op.strong_norm(res))
+        [head] = op.trials(s, u)
+        assert _bits(head.u) == _bits(_reference_trial(op, u, s)[0])
+
+
+@pytest.mark.parametrize("block", [True, False])
+def test_trial_collapse_raises_as_one_row_evaluation(block):
+    # Trial 5 of du = -32 u is exactly zero, and a NaN in du makes every
+    # trial non-finite: evaluation stops there with the error normalize
+    # raises, after the same rows, and the rows after it (finite or not)
+    # raise no RuntimeWarning, which tier-1 turns into errors.
+    grid = RadialGrid(j=511 / 128, N=511)
+    op = DiscreteOperator(manifold.power_bump(3, -0.5, 0.25, 1e8), grid)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(op.n_unknowns)
+    nan_du = rng.standard_normal(op.n_unknowns)
+    nan_du[7] = np.nan
+    for du, collapse_at in ((-32.0 * u, 5), (nan_du, 0)):
+        rows, error = _kernel_rows(op, 4.0, u, du, block)
+        reference = [_reference_trial(op, u + 2.0**-k * du, 4.0)
+                     for k in range(collapse_at + 1)]
+        assert reference[-1] is None and None not in reference[:-1]
+        assert [_bits(row[0]) for row in rows] == \
+            [_bits(ref[0]) for ref in reference[:-1]]
+        assert isinstance(error, ConvergenceError)
+        with pytest.raises(ConvergenceError) as expected:
+            op.normalize(u + 2.0**-collapse_at * du, 4.0)
+        assert str(error) == str(expected.value) == "iterate collapsed to zero"
+        assert _bits(error.last_iterate) == _bits(expected.value.last_iterate)
+
+
 def test_continuation_golden_values():
     # Captured before the operator was hoisted out of the schedule; the
     # solver loop must reproduce every bit.  This 64-cell B_1 is the one
@@ -415,23 +516,24 @@ def test_solve_banded_keeps_scipy_errors():
 
 
 def _logged_continuation(monkeypatch, profile, grid):
-    """Run the continuation with every strong_norm value logged; each
-    projected-gradient relocation logs None first."""
+    """Run the continuation with the residual norm of every trial a Newton
+    run consumed logged: the start of the run, then each line-search trial
+    up to the one the search took (rows of a block evaluated beyond it are
+    not logged).  Each projected-gradient relocation logs None first."""
     log = []
-    norm = subcritical.DiscreteOperator.strong_norm
+    trials = subcritical.DiscreteOperator.trials
     relocate = subcritical._projected_gradient
 
-    def logged_norm(self, residual):
-        value = norm(self, residual)
-        log.append(value)
-        return value
+    def logged_trials(self, *args):
+        for trial in trials(self, *args):
+            log.append(trial.norm)
+            yield trial
 
     def logged_relocate(*args):
         log.append(None)
         return relocate(*args)
 
-    monkeypatch.setattr(subcritical.DiscreteOperator, "strong_norm",
-                        logged_norm)
+    monkeypatch.setattr(subcritical.DiscreteOperator, "trials", logged_trials)
     monkeypatch.setattr(subcritical, "_projected_gradient", logged_relocate)
     return continue_to_critical(profile, grid), log
 
