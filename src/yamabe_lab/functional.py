@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import (area_weight, conformal_coupling, critical_exponent,
                         lambda_constant)
-from .errors import DomainError, StabilizationError
+from .errors import ConvergenceError, DomainError, StabilizationError
 from .manifold import MetricProfile
 from .radial import RadialField, RadialGrid, lp_norm, yamabe_energy
 
@@ -81,23 +81,187 @@ class ExteriorEstimate:
     history: tuple
 
 
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21; Piessens et al. 1983):
+# the abscissae on [0, 1] in QUADPACK's order, Kronrod weights, and the
+# 10-point Gauss weights, zero at the Kronrod-only abscissae.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208983893880, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.0, 0.066671344308688137593568809893332, 0.0,
+       0.149451349150580593145776339657697, 0.0,
+       0.219086362515982043995534934228163, 0.0,
+       0.269266719309996355091226921569469, 0.0,
+       0.295524224714752870173892994651338, 0.0)
+# The 21 nodes on [-1, 1] in ascending order, and the Kronrod and Gauss
+# weights as the columns of a (21, 2) matrix.
+_NODES = np.array([-x for x in _XGK[:-1]] + list(reversed(_XGK)))
+_KRONROD = np.array(_WGK[:-1] + tuple(reversed(_WGK)))
+_RULES = np.array([_KRONROD, _WG[:-1] + tuple(reversed(_WG))]).T
+_EPMACH = float(np.finfo(float).eps)
+_ROUNDOFF = 50.0 * _EPMACH
+_TINY = float(np.finfo(float).tiny) / _ROUNDOFF
+_PANELS = 200  # panel budget of _quad (QUADPACK's `limit`)
+
+
+def _qk21_panel(half: float, resk: float, resg: float, resabs: float,
+                resasc: float) -> tuple:
+    """dqk21's (integral, error estimate, resasc) of a panel of half-width
+    ``half`` from its Kronrod and Gauss sums and the Kronrod sums of |f|
+    and |f - resk/2| on [-1, 1].  The error estimate is the Gauss-Kronrod
+    difference scaled by resasc, floored at the roundoff level
+    50 eps resabs."""
+    width = abs(half)
+    resabs *= width
+    resasc *= width
+    err = abs((resk - resg) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > _TINY:
+        err = max(_ROUNDOFF * resabs, err)
+    return resk * half, err, resasc
+
+
+def _qk21(f, lo: float, hi: float) -> tuple:
+    """dqk21 on [lo, hi]: one call of the vectorized integrand f."""
+    half = 0.5 * (hi - lo)
+    values = f(half * _NODES + 0.5 * (lo + hi))
+    resk, resg = (values @ _RULES).tolist()
+    resabs, resasc = (np.abs((values, values - 0.5 * resk)) @ _KRONROD).tolist()
+    return _qk21_panel(half, resk, resg, resabs, resasc)
+
+
+def _qk21_halves(f, lo: float, hi: float) -> tuple:
+    """dqk21 on both halves of [lo, hi]: one call of f on their 42 nodes."""
+    mid = 0.5 * (lo + hi)
+    half1, half2 = 0.5 * (mid - lo), 0.5 * (hi - mid)
+    values = f(np.concatenate((half1 * _NODES + 0.5 * (lo + mid),
+                               half2 * _NODES + 0.5 * (mid + hi))))
+    values = values.reshape(2, 21)
+    (resk1, resg1), (resk2, resg2) = (values @ _RULES).tolist()
+    abs1, abs2, asc1, asc2 = (np.abs(np.concatenate(
+        (values, values - [[0.5 * resk1], [0.5 * resk2]]))) @ _KRONROD).tolist()
+    return (_qk21_panel(half1, resk1, resg1, abs1, asc1),
+            _qk21_panel(half2, resk2, resg2, abs2, asc2))
+
+
+def _quad(f, lo: float, hi: float, epsabs: float = 1.49e-8,
+          epsrel: float = 1.49e-8) -> float:
+    """Adaptive 21-point Gauss-Kronrod quadrature of f over [lo, hi], as
+    QUADPACK's dqagse runs it without extrapolation (the tolerances
+    default to scipy.integrate.quad's, with at most ``_PANELS`` panels).
+
+    f maps an array of nodes to its values.  While the summed error
+    estimate exceeds max(epsabs, epsrel |integral|), the panel with the
+    largest estimate is bisected, and its two halves are evaluated in one
+    call of f.  The integral is the sum of the panel integrals in
+    QUADPACK's list order.  ConvergenceError when ``_PANELS`` panels do
+    not meet the tolerance (where QUADPACK warns and returns its
+    estimate).
+    """
+    area, err, resasc = _qk21(f, lo, hi)
+    # An estimate equal to resasc is saturated and not trusted.
+    if err <= max(epsabs, epsrel * abs(area)) and err != resasc \
+            or err == 0.0:
+        return area
+    panels, areas, errors = [(lo, hi)], [area], [err]
+    err_sum = err
+    while len(panels) < _PANELS:
+        worst = errors.index(max(errors))
+        left, right = panels[worst]
+        mid = 0.5 * (left + right)
+        halves = ((left, mid), (mid, right))
+        results = _qk21_halves(f, left, right)
+        err_sum += results[0][1] + results[1][1] - errors[worst]
+        area += results[0][0] + results[1][0] - areas[worst]
+        # The half with the larger error keeps the bisected panel's slot.
+        keep = 1 if results[1][1] > results[0][1] else 0
+        panels[worst] = halves[keep]
+        areas[worst], errors[worst], _ = results[keep]
+        panels.append(halves[1 - keep])
+        areas.append(results[1 - keep][0])
+        errors.append(results[1 - keep][1])
+        if err_sum <= max(epsabs, epsrel * abs(area)):
+            total = 0.0
+            for value in areas:
+                total += value
+            return total
+    raise ConvergenceError(
+        f"quadrature over [{lo}, {hi}] did not meet its tolerance in "
+        f"{_PANELS} panels (error estimate {err_sum:.3g}, integral {area:.6g})")
+
+
+def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float,
+           xtol: float) -> float:
+    """Root of f in the bracket [lo, hi] by Brent's method, step for step
+    as scipy.optimize.brentq runs it with its default rtol (4 eps) and
+    maxiter (100), from the already computed values f_lo = f(lo) and
+    f_hi = f(hi)."""
+    rtol, maxiter = 4.0 * _EPMACH, 100
+    xpre, xcur, fpre, fcur = lo, hi, f_lo, f_hi
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise DomainError(f"f({lo}) and f({hi}) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + rtol * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                    dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+    raise ConvergenceError(f"Brent's method did not converge in {maxiter} "
+                           f"steps (bracket [{lo}, {hi}])")
+
+
 def cylinder_length(profile: MetricProfile, r_in: float, r_out: float) -> float:
     """Conformal cylinder length of the annulus: S = int_{r_in}^{r_out} dr/f,
     as int r/f dx in x = ln(r/r_in), so that every decade is sampled."""
     if not 0 < r_in < r_out <= profile.r_max:
         raise DomainError(
             f"need 0 < r_in < r_out <= r_max, got [{r_in}, {r_out}]")
-    from scipy.integrate import quad
 
     def integrand(x):
-        r = r_in * math.exp(x)
-        return r / float(profile.f(r))
+        r = r_in * np.exp(x)
+        return r / profile.f(r)
 
     # f may overflow to inf far out (sinh r past r ~ 710), where r/f -> 0
     # is the right value.
     with np.errstate(over="ignore"):
-        value, _ = quad(integrand, 0.0, math.log(r_out / r_in), limit=200)
-    return float(value)
+        return _quad(integrand, 0.0, math.log(r_out / r_in))
 
 
 def radial_cylinder_quotient(n: int, length: float) -> float:
@@ -115,51 +279,105 @@ def radial_cylinder_quotient(n: int, length: float) -> float:
     splits at u* = a^{1/(p-2)}, the maximum of G: u = sqrt(C/a) sinh z on
     [0, u*] takes the near-logarithmic growth of the length as C -> 0,
     and u = m - (m - u*) y^2 on [u*, m] removes the 1/sqrt endpoint.
-    """
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
 
+    DomainError unless 0 < length < inf, and where float64 cannot hold
+    the peak: m^p overflows on very short segments (length ~ 1e-100 at
+    n = 3), and m - m_0 ~ exp(-sqrt(a) length) underflows on very long
+    ones (length ~ 1500 at n = 3), where Q equals Lambda(n) to rounding.
+    """
+    if not 0.0 < length < math.inf:
+        raise DomainError(f"need 0 < length < inf, got {length}")
     p = critical_exponent(n)
     a = ((n - 2) / 2.0) ** 2
     u_star = a ** (1.0 / (p - 2.0))
     m_0 = (0.5 * a * p) ** (1.0 / (p - 2.0))
 
+    def beyond_float64(log_offset: float) -> DomainError:
+        return DomainError(
+            f"length {length} is beyond float64: the integrals at the peak "
+            f"m = m_0 + exp({log_offset:.6g}) do not fit")
+
     def integral(log_offset: float, k: float) -> float:
         """2 int_0^m u^k du / sqrt G for the peak m = m_0 + e^log_offset."""
-        offset = math.exp(log_offset)
-        m = m_0 + offset
-        c = a * m * m * math.expm1((p - 2.0) * math.log1p(offset / m_0))
+        try:
+            offset = math.exp(log_offset)
+            m = m_0 + offset
+            m_p = m ** p
+            c = a * m * m * math.expm1((p - 2.0) * math.log1p(offset / m_0))
+        except OverflowError:
+            c = math.inf
+        if not 0.0 < c < math.inf:
+            raise beyond_float64(log_offset)
         scale, d = math.sqrt(c / a), m - u_star
 
         def inner(z):
-            u = scale * math.sinh(z)
+            u = scale * np.sinh(z)
             # G = C cosh^2 z (1 - share), and share <= 2/p on [0, u*]
             share = 2.0 / p * u ** p / (c + a * u * u)
-            return u ** k / math.sqrt(a * (1.0 - share))
+            root = np.sqrt(a * (1.0 - share))
+            return 1.0 / root if k == 0.0 else u ** k / root
 
         def outer(y):
             gap = d * y * y
             u = m - gap
             # (m^p - u^p) / (m - u), and G(u) = gap (2/p slope - a (m + u))
-            slope = -m ** p * math.expm1(p * math.log1p(-gap / m)) / gap
-            return 2.0 * math.sqrt(d) * u ** k / math.sqrt(
-                2.0 / p * slope - a * (m + u))
+            slope = -m_p * np.expm1(p * np.log1p(-gap / m)) / gap
+            root = np.sqrt(2.0 / p * slope - a * (m + u))
+            weight = 2.0 * math.sqrt(d)
+            return weight / root if k == 0.0 else weight * u ** k / root
 
         z_star = math.asinh(u_star / scale)
         return 2.0 * (
-            quad(inner, 0.0, z_star, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-            + quad(outer, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0])
+            _quad(inner, 0.0, z_star, epsabs=0.0, epsrel=1e-13)
+            + _quad(outer, 0.0, 1.0, epsabs=0.0, epsrel=1e-13))
 
-    # The length falls from infinity to 0 as the offset grows, and
-    # m - m_0 ~ exp(-sqrt(a) length) on long segments.
-    lo, hi = -math.sqrt(a) * length, 0.0
-    while integral(hi, 0.0) > length:
-        hi += 10.0
-    while integral(lo, 0.0) < length:
-        lo -= 10.0
-    log_offset = brentq(lambda x: integral(x, 0.0) - length, lo, hi,
-                        xtol=1e-14)
-    return (area_weight(n) * integral(log_offset, p)) ** (2.0 / n)
+    # psi(l) = ln(e^l - 1) is l on long segments and ln l on short ones.
+    # psi(length) falls near-linearly in the unknown x = ln(m - m_0), with
+    # slope -1/sqrt(a) = -2/(n-2) at both ends: x ~ x_long - sqrt(a) length
+    # on long segments, and length ~ K m^{-(p-2)/2} on short ones, where
+    # only the u^p term of G counts.
+    def psi(value: float) -> float:
+        return value + math.log(-math.expm1(-value))
+
+    target = psi(length)
+
+    def mismatch(log_offset: float) -> float:
+        return psi(integral(log_offset, 0.0)) - target
+
+    # First guess: the larger of the two asymptotes, with
+    # x_long = ln(4 m_0/(p-2)) + 2 ln 4/(p-2) (matching the infinite
+    # cylinder's bubble to the linear regime near u = 0) and
+    # K = sqrt(2p) int_0^1 dt/sqrt(1 - t^p) = sqrt(2p) B(1/p, 1/2)/p.
+    # Then steps of 1.25 model Newton steps, doubled until the root is
+    # bracketed, and Brent's method from that bracket.
+    slope = math.sqrt(a)
+    lo = (math.log(4.0 * m_0 / (p - 2.0)) + 2.0 * math.log(4.0) / (p - 2.0)
+          - slope * length)
+    log_peak = 2.0 / (p - 2.0) * (
+        0.5 * math.log(2.0 * p) + math.lgamma(1.0 / p) + math.lgamma(0.5)
+        - math.lgamma(1.0 / p + 0.5) - math.log(p) - math.log(length))
+    if log_peak > math.log(m_0):
+        lo = max(lo, log_peak + math.log(-math.expm1(math.log(m_0) - log_peak)))
+    f_lo = mismatch(lo)
+    if f_lo == 0.0:
+        log_offset = lo
+    else:
+        step = 1.25 * f_lo / slope
+        hi = lo + step
+        f_hi = mismatch(hi)
+        while math.copysign(1.0, f_hi) == math.copysign(1.0, f_lo):
+            lo, f_lo = hi, f_hi
+            step *= 2.0
+            hi = lo + step
+            f_hi = mismatch(hi)
+        log_offset = _brent(mismatch, lo, hi, f_lo, f_hi, xtol=1e-14)
+    # With m^p finite, only the u^p integrand can overflow.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            weighted = integral(log_offset, p)
+    except FloatingPointError as exc:
+        raise beyond_float64(log_offset) from exc
+    return (area_weight(n) * weighted) ** (2.0 / n)
 
 
 LENGTH_CAP = 40.0  # longest cylinder segment the exterior value is taken on
@@ -192,6 +410,10 @@ def exterior_quotient(profile: MetricProfile, r_in: float) -> ExteriorEstimate:
     """
     n, r_max = profile.n, profile.r_max
     total = cylinder_length(profile, r_in, r_max)
+    if total == 0.0:
+        raise DomainError(
+            f"conformal length of [{r_in}, {r_max}] is 0 in float64: "
+            f"r/f underflows on the whole exterior")
     value = radial_cylinder_quotient(n, min(total, LENGTH_CAP))
     stabilized = (
         total >= LENGTH_CAP

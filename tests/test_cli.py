@@ -256,6 +256,22 @@ def test_cold_blowup_imports_no_scipy(configs_dir, exhaust_out):
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 
+@pytest.mark.parametrize("command", ["constants", "decay"])
+def test_cold_exterior_loads_no_quadrature_scipy(configs_dir, exhaust_out,
+                                                 command):
+    # The exterior quotient's quadratures and root find are numpy code:
+    # scipy.integrate pulled in scipy.optimize and scipy.special too.
+    # The subcritical solver still binds LAPACK's dgtsv from scipy.linalg.
+    extra = (("--trace", str(exhaust_out / "trace.json"))
+             if command == "decay" else ())
+    imported = _cold_imports(command, "--config",
+                             str(configs_dir / "flat3.json"), *extra)
+    assert "yamabe_lab.functional" in imported
+    assert "scipy.linalg" in imported
+    assert not [m for m in imported if m.split(".")[:2] in (
+        ["scipy", "integrate"], ["scipy", "optimize"], ["scipy", "special"])]
+
+
 def test_cold_blowup_imports_no_quotients(configs_dir, exhaust_out):
     # blowup takes Lambda(n) from constants: a cold blowup --field loads
     # neither the quotient module nor the solver.
@@ -492,6 +508,25 @@ def test_bad_config_value_exits_one(tmp_path, capsys, block):
         assert err.startswith("error [constants]: ProfileError")
         assert str(csv_path) in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_zero_conformal_length_exits_one(tmp_path, capsys):
+    # sinh r overflows on the whole exterior [750, 800], so L = 0.0 in
+    # float64; the radial quotient used to raise its bracket until
+    # math.exp overflowed, an OverflowError traceback.
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({
+        "profile": {"name": "hyperbolic", "n": 3, "r_max": 800.0},
+        "grid": {"nodes_per_unit": 32},
+        "pipeline": {"radii": [2.0, 3.0, 4.0], "r_in": [750.0],
+                     "compact_radius": 1.0}}))
+    code = main(["constants", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error [constants]: DomainError: conformal length of [750.0, 800.0]")
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_negative_eps_s_exits_one(tmp_path, capsys):

@@ -1,14 +1,18 @@
 """Quotients: bubbles, exterior estimates, scalar lower bounds."""
 
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
 
 from yamabe_lab import functional, manifold
-from yamabe_lab.constants import conformal_coupling
-from yamabe_lab.errors import DomainError, StabilizationError
+from yamabe_lab.config import load_config, profile_from_config
+from yamabe_lab.constants import area_weight, conformal_coupling
+from yamabe_lab.errors import ConvergenceError, DomainError, StabilizationError
 from yamabe_lab.functional import (BubbleSpec, bubble_quotient, bubble_values,
                                    cylinder_length, exterior_quotient,
                                    lambda_constant, radial_cylinder_quotient,
@@ -238,6 +242,202 @@ def test_exterior_stabilization_error_on_small_r_max():
     prof = manifold.euclidean(3, r_max=6.0)
     with pytest.raises(StabilizationError):
         exterior_quotient(prof, 2.0)
+
+
+def test_radial_cylinder_quotient_rejects_lengths_outside_0_inf():
+    # 0 (r/f underflowing on the whole exterior) used to raise the bracket
+    # until math.exp overflowed; -1, nan and inf ended in OverflowError,
+    # a ValueError from inside the root finder and ZeroDivisionError.
+    for length in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="0 < length < inf"):
+            radial_cylinder_quotient(3, length)
+
+
+@pytest.mark.parametrize("length", [1e-100, 1500.0])
+def test_radial_cylinder_quotient_beyond_float64(length):
+    # The u^p integral overflows on very short segments, and the peak
+    # offset exp(-sqrt(a) length) underflows on very long ones.
+    with pytest.raises(DomainError, match="beyond float64"):
+        radial_cylinder_quotient(3, length)
+
+
+def test_exterior_quotient_rejects_zero_conformal_length():
+    # sinh r overflows on all of [750, 800], so r/f is 0 at every node.
+    prof = manifold.hyperbolic(3, r_max=800.0)
+    assert cylinder_length(prof, 750.0, 800.0) == 0.0
+    with pytest.raises(DomainError, match="conformal length .* is 0"):
+        exterior_quotient(prof, 750.0)
+
+
+# -- numpy quadrature and root finder against scipy --------------------------
+
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _oracle_profile(name: str) -> MetricProfile:
+    if name == "table":
+        # a tabulated cigar, spline-interpolated between samples
+        r = np.linspace(0.0, 20.0, 401)
+        return manifold.from_table(3, r, np.tanh(r), r_max=20.0)
+    if name == "hyperbolic-1e8":  # sinh overflows past r ~ 710
+        return manifold.hyperbolic(3, r_max=1e8)
+    return profile_from_config(load_config(_CONFIGS / f"{name}.json"))
+
+
+def _scipy_cylinder_length(profile, r_in, r_out):
+    """cylinder_length as it was written on scipy.integrate.quad."""
+    def integrand(x):
+        r = r_in * math.exp(x)
+        return r / float(profile.f(r))
+
+    with np.errstate(over="ignore"):
+        return quad(integrand, 0.0, math.log(r_out / r_in), limit=200)[0]
+
+
+@pytest.mark.parametrize("name", ["flat3", "bump3", "cigar3", "hyperbolic3",
+                                  "table", "hyperbolic-1e8"])
+def test_cylinder_length_matches_scipy_quad(name):
+    # The same 21-point rule, error estimate and bisection order as
+    # QUADPACK's: only the order of the rule's sums differs.  On
+    # hyperbolic space at r_in = 20 the first panel's error estimate is
+    # saturated (equal to resasc), which forces a bisection.
+    prof = _oracle_profile(name)
+    for r_in in (0.5, 1.0, 2.0, 4.0, 8.0, 20.0):
+        if r_in >= prof.r_max:
+            continue
+        for r_out in (min(2.0 * r_in, prof.r_max), prof.r_max):
+            expected = _scipy_cylinder_length(prof, r_in, r_out)
+            assert cylinder_length(prof, r_in, r_out) == pytest.approx(
+                expected, rel=1e-14, abs=0.0), (r_in, r_out)
+
+
+def _scipy_radial_cylinder_quotient(n, length):
+    """radial_cylinder_quotient as it was written on scipy's quad and
+    brentq, with the bracket [-sqrt(a) length, 0] widened by 10."""
+    p = 2.0 * n / (n - 2)
+    a = ((n - 2) / 2.0) ** 2
+    u_star = a ** (1.0 / (p - 2.0))
+    m_0 = (0.5 * a * p) ** (1.0 / (p - 2.0))
+
+    def integral(log_offset, k):
+        offset = math.exp(log_offset)
+        m = m_0 + offset
+        c = a * m * m * math.expm1((p - 2.0) * math.log1p(offset / m_0))
+        scale, d = math.sqrt(c / a), m - u_star
+
+        def inner(z):
+            u = scale * math.sinh(z)
+            share = 2.0 / p * u ** p / (c + a * u * u)
+            return u ** k / math.sqrt(a * (1.0 - share))
+
+        def outer(y):
+            gap = d * y * y
+            u = m - gap
+            slope = -m ** p * math.expm1(p * math.log1p(-gap / m)) / gap
+            return 2.0 * math.sqrt(d) * u ** k / math.sqrt(
+                2.0 / p * slope - a * (m + u))
+
+        z_star = math.asinh(u_star / scale)
+        return 2.0 * (
+            quad(inner, 0.0, z_star, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            + quad(outer, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0])
+
+    lo, hi = -math.sqrt(a) * length, 0.0
+    while integral(hi, 0.0) > length:
+        hi += 10.0
+    while integral(lo, 0.0) < length:
+        lo -= 10.0
+    log_offset = brentq(lambda x: integral(x, 0.0) - length, lo, hi,
+                        xtol=1e-14)
+    return (area_weight(n) * integral(log_offset, p)) ** (2.0 / n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_radial_cylinder_quotient_matches_scipy_arithmetic(n):
+    # The bracket and the root finder's path differ, and so does the
+    # quadrature's summation order; the value stays within 1e-14.
+    for length in (0.05, 0.1, 0.2723, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0,
+                   17.7, 20.5, 25.0, 30.0, 40.0):
+        assert radial_cylinder_quotient(n, length) == pytest.approx(
+            _scipy_radial_cylinder_quotient(n, length), rel=1e-14,
+            abs=0.0), length
+
+
+_BRENT_CASES = [
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.exp(x) - 10.0, -5.0, 5.0),
+    # steep: bisection steps until the bracket is short
+    (lambda x: math.tanh(50.0 * (x - 0.123)), -1.0, 1.0),
+    # a root at an end of the bracket
+    (lambda x: x * (x + 1.0), 0.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_BRENT_CASES)))
+@pytest.mark.parametrize("xtol", [1e-14, 2e-12, 1e-6])
+def test_brent_matches_scipy_brentq(case, xtol):
+    f, lo, hi = _BRENT_CASES[case]
+    expected, info = brentq(f, lo, hi, xtol=xtol, full_output=True)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    assert functional._brent(counted, lo, hi, f(lo), f(hi),
+                             xtol=xtol) == expected
+    # The bracket's values come from the caller.
+    assert len(calls) == info.function_calls - 2
+
+
+def test_brent_rejects_a_bracket_without_sign_change():
+    with pytest.raises(ValueError):
+        brentq(math.exp, 0.0, 1.0)
+    with pytest.raises(DomainError, match="different signs"):
+        functional._brent(math.exp, 0.0, 1.0, 1.0, math.e, xtol=1e-14)
+
+
+def test_quad_raises_when_200_panels_miss_the_tolerance():
+    # sign(sin(300 x)) jumps 95 times on [0, 1]: each jump needs about 40
+    # bisections before its panel's error is below 1e-13 of the integral.
+    def f(x):
+        return np.sign(np.sin(300.0 * x))
+
+    with pytest.raises(ConvergenceError, match="200 panels"):
+        functional._quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
+    # QUADPACK runs out of panels too, and only warns.
+    with pytest.warns(IntegrationWarning):
+        quad(lambda x: float(f(x)), 0.0, 1.0, epsabs=0.0, epsrel=1e-13,
+             limit=200)
+
+
+@pytest.mark.parametrize("f", [lambda x: x * x, np.exp,
+                               lambda x: 1.0 / (1.0 + 25.0 * x * x)])
+def test_qk21_matches_quadpack_on_one_panel(f):
+    # With limit = 1, quad returns dqk21's integral and error estimate of
+    # the whole interval: the Gauss-Kronrod difference scaled by resasc
+    # (Runge's function), or the roundoff floor 50 eps resabs where the
+    # rule is exact (x^2) or nearly so (exp).
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        value, error = quad(lambda x: float(f(x)), -1.0, 1.0, limit=1)
+    area, err, _ = functional._qk21(f, -1.0, 1.0)
+    assert area == pytest.approx(value, rel=1e-15, abs=0.0)
+    assert err == pytest.approx(error, rel=1e-12, abs=0.0)
+
+
+def test_quad_matches_scipy_quad_on_smooth_integrands():
+    # Where QUADPACK's extrapolation takes over (endpoint singularities
+    # such as sqrt x at 0), the two differ within the tolerance only.
+    for f, lo, hi in ((np.exp, 0.0, 30.0),
+                      (lambda x: np.exp(-x * x), -10.0, 10.0),
+                      (lambda x: 1.0 / (1.0 + x * x), -50.0, 50.0),
+                      (lambda x: np.cos(20.0 * x), 0.0, 3.0)):
+        expected = quad(lambda x: float(f(x)), lo, hi, limit=200)[0]
+        assert functional._quad(f, lo, hi) == pytest.approx(
+            expected, rel=1e-14, abs=1e-15)
 
 
 # -- scalar lower bound ------------------------------------------------------
