@@ -55,18 +55,18 @@ _SAMPLES_PER_UNIT = 64
 def rescale(u: RadialField, profile: MetricProfile) -> RescaledField:
     """Blow-up rescaling v(x) = u(x_c + delta x)/m around the maximum.
 
-    The maximum must sit at an interior node (boundary blow-up is outside
+    The maximum must sit off the outer node (boundary blow-up is outside
     the diagnostic's regime).  The window is |x| <= min(5, rho_k / 2),
     where rho_k = (j - x_c) / delta, so delta * window stays within half
     the distance to the outer boundary; a window narrower than one grid
     cell is refused (the field does not resolve the blow-up scale).
-    Resampling is cubic; for a pole-centered maximum the window is
-    symmetric through r = 0 by even reflection.  The samples lie in
+    Resampling is cubic, and a window that reaches past the pole is
+    reflected evenly through r = 0.  The samples lie in
     [0, 1], with exactly 1 at the center.
     """
     grid, vals = u.grid, u.values
     k = int(np.argmax(vals))
-    if k == grid.N or (not grid.is_ball and k == 0):
+    if k == grid.N:
         raise DomainError("maximum at the boundary: interior blow-up only")
     m = float(vals[k])
     if m <= 0:
@@ -89,12 +89,7 @@ def rescale(u: RadialField, profile: MetricProfile) -> RescaledField:
     spline = NotAKnotSpline(grid.nodes, vals)
     x = np.linspace(-window, window,
                     2 * max(8, int(round(_SAMPLES_PER_UNIT * window))) + 1)
-    r_samples = center + delta * x
-    if grid.is_ball:
-        r_samples = np.abs(r_samples)  # even reflection through the pole
-    elif np.any(r_samples < grid.r_lo):
-        raise DomainError("window crosses the inner boundary")
-    v = spline(r_samples) / m
+    v = spline(np.abs(center + delta * x)) / m
     v[np.argmin(np.abs(x))] = vals[k] / m  # exact 1 at the center node
     return RescaledField(x=x, values=np.clip(v, 0.0, 1.0), m=m, delta=delta,
                          center=center, window=window, rho_k=rho_k)

@@ -283,7 +283,7 @@ def subsolution_check(trace: ExhaustionTrace, j: float,
     values = np.zeros(big.N + 1)
     values[:rec.field.grid.N + 1] = rec.field.values
     op = DiscreteOperator(profile, big)
-    u = values[op.lo:op.hi]
+    u = values[:-1]
     _, weak = op.residual(u, s_eq, lam_eq)
     scale = max(1.0, float(np.max(np.abs(lam_eq) * op.weights()
                                   * np.abs(u) ** (s_eq - 1.0))))
@@ -291,7 +291,7 @@ def subsolution_check(trace: ExhaustionTrace, j: float,
     k = int(np.argmax(weak))
     return SubsolutionReport(max_violation=float(weak[k]), tol=tol,
                              passed=bool(weak[k] <= tol),
-                             worst_radius=float(big.nodes[op.lo + k]),
+                             worst_radius=float(big.nodes[k]),
                              s_checked=float(s_eq), lam_checked=float(lam_eq))
 
 

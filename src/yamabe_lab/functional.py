@@ -280,15 +280,17 @@ def radial_cylinder_quotient(n: int, length: float) -> float:
     [0, u*] takes the near-logarithmic growth of the length as C -> 0,
     and u = m - (m - u*) y^2 on [u*, m] removes the 1/sqrt endpoint.
 
-    DomainError unless 0 < length < inf, and where float64 cannot hold
-    the peak: m^p overflows on very short segments (length ~ 1e-100 at
-    n = 3), and m - m_0 ~ exp(-sqrt(a) length) underflows on very long
-    ones (length ~ 1500 at n = 3), where Q equals Lambda(n) to rounding.
+    A segment longer than 80/sqrt(a) is evaluated at that length: there
+    Q - Lambda(n) ~ C exp(-sqrt(a) length) is far below rounding, and
+    beyond it m - m_0 would underflow (near length 1500 at n = 3).
+    DomainError unless 0 < length < inf, and where m^p overflows on very
+    short segments (length ~ 1e-100 at n = 3).
     """
     if not 0.0 < length < math.inf:
         raise DomainError(f"need 0 < length < inf, got {length}")
     p = critical_exponent(n)
     a = ((n - 2) / 2.0) ** 2
+    length = min(length, 80.0 / math.sqrt(a))
     u_star = a ** (1.0 / (p - 2.0))
     m_0 = (0.5 * a * p) ** (1.0 / (p - 2.0))
 

@@ -21,37 +21,31 @@ MIN_INTERVALS = 32
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform grid of N intervals on [r_lo, j]; r_lo = 0 for balls."""
+    """Uniform grid of N intervals on the ball [0, j]."""
 
     j: float
     N: int
-    r_lo: float = 0.0
 
     def __post_init__(self):
         if self.N < MIN_INTERVALS:
             raise DomainError(f"N must be >= {MIN_INTERVALS}, got {self.N}")
-        if not 0 <= self.r_lo < self.j:
-            raise DomainError(f"need 0 <= r_lo < j, got [{self.r_lo}, {self.j}]")
+        if not self.j > 0:
+            raise DomainError(f"need j > 0, got {self.j}")
 
     @property
     def h(self) -> float:
-        return (self.j - self.r_lo) / self.N
+        return self.j / self.N
 
     @property
     def nodes(self) -> np.ndarray:
-        return self.r_lo + self.h * np.arange(self.N + 1)
-
-    @property
-    def is_ball(self) -> bool:
-        return self.r_lo == 0.0
+        return self.h * np.arange(self.N + 1)
 
 
 @dataclass(frozen=True)
 class RadialField:
     """Sampled radial function on a grid.
 
-    ``boundary`` is 'dirichlet' (u = 0 at the outer node, and at the inner
-    node too for annulus grids) or 'free'.
+    ``boundary`` is 'dirichlet' (u = 0 at the outer node) or 'free'.
     """
 
     grid: RadialGrid
@@ -68,9 +62,8 @@ class RadialField:
             raise DomainError("field values must be finite")
         if self.boundary not in ("dirichlet", "free"):
             raise DomainError(f"unknown boundary tag '{self.boundary}'")
-        if self.boundary == "dirichlet":
-            if values[-1] != 0.0 or (not self.grid.is_ball and values[0] != 0.0):
-                raise DomainError("dirichlet field must vanish on the boundary")
+        if self.boundary == "dirichlet" and values[-1] != 0.0:
+            raise DomainError("dirichlet field must vanish on the boundary")
 
     def with_values(self, values) -> "RadialField":
         return replace(self, values=np.asarray(values, dtype=float))
@@ -147,8 +140,11 @@ def save_field_csv(u: RadialField, path) -> None:
 
 def load_field_csv(path, boundary="free") -> RadialField:
     r, values = read_pairs(path, "r,u", DomainError).T
+    if r[0] != 0.0:
+        raise DomainError(f"{path}: field grid must start at r = 0, "
+                          f"got r = {float(r[0])!r}")
     steps = np.diff(r)
     if not np.allclose(steps, steps[0], rtol=1e-8, atol=1e-12):
         raise DomainError(f"{path}: field grid must be uniform")
-    grid = RadialGrid(j=float(r[-1]), N=len(r) - 1, r_lo=float(r[0]))
+    grid = RadialGrid(j=float(r[-1]), N=len(r) - 1)
     return RadialField(grid, values, boundary=boundary)

@@ -100,13 +100,11 @@ class DiscreteOperator:
         diag += self.W * c * self.curvature
         off = -wm / h
         self.diag, self.off = diag, off
-        # Unknowns: dirichlet at the outer node always; at the inner node
-        # only for annulus grids (the pole keeps its natural condition).
-        self.lo = 0 if grid.is_ball else 1
-        self.hi = grid.N  # exclusive
-        self._diag_u = diag[self.lo:self.hi]
-        self._off_u = off[self.lo:self.hi - 1]
-        self._w_u = self.W[self.lo:self.hi]
+        # Unknowns: every node but the outer one, which is dirichlet (the
+        # pole keeps its natural condition).
+        self._diag_u = diag[:-1]
+        self._off_u = off[:-1]
+        self._w_u = self.W[:-1]
         # Strong-norm weights: nodes of zero quadrature weight (the pole)
         # enter through the half-interval stiffness mass, so the pole
         # equation is not dropped.
@@ -125,12 +123,10 @@ class DiscreteOperator:
 
     @property
     def n_unknowns(self):
-        return self.hi - self.lo
+        return self.grid.N
 
     def full_values(self, u_unknown):
-        v = np.zeros(self.grid.N + 1)
-        v[self.lo:self.hi] = u_unknown
-        return v
+        return np.append(u_unknown, 0.0)
 
     def _apply_into(self, x, out, work) -> None:
         """out = A x for a vector x, or for each row of a block x; ``work``
@@ -372,7 +368,7 @@ def first_eigenpair(op: DiscreteOperator):
 
 @dataclass(frozen=True)
 class SubcriticalSolution:
-    """Converged minimizer of Q_s on one ball/annulus."""
+    """Converged minimizer of Q_s on one ball."""
 
     field: RadialField
     lam: float
@@ -443,7 +439,7 @@ def solve_subcritical(op: DiscreteOperator, s: float,
         _, init = first_eigenpair(op)
     if init.grid != op.grid:
         raise DomainError("init field lives on a different grid")
-    u = init.values[op.lo:op.hi].copy()
+    u = init.values[:-1].copy()
     if np.max(u) <= 0:
         raise DomainError("init must be positive in the interior")
 
@@ -482,8 +478,11 @@ def solve_subcritical(op: DiscreteOperator, s: float,
         return cur.u, cur.lam, cur.norm, iterations
 
     def run_restarts(u, stall_limit):
-        # Newton may land on a sign-changing critical point (seen on wide
-        # annuli); restarting from |u| pushes it toward the ground state.
+        # Newton may land on a sign-changing critical point; restarting
+        # from |u| pushes it toward the ground state.  Balls need this:
+        # without the restarts, bump3 B_7.4 (128 nodes per unit) fails at
+        # s = 4.502802 with negative nodes, and the witness of hyperbolic3
+        # B_3.839423 ends 1.4% higher.
         for _ in range(3):
             u, lam, res_norm, iterations = newton_from(u, stall_limit)
             if float(np.min(u)) >= -1e-10 * float(np.max(u)):
@@ -505,7 +504,7 @@ def solve_subcritical(op: DiscreteOperator, s: float,
         # retry that got there went on to fail, and the ones that
         # converged had at most three such searches in a row.
         u, lam, res_norm, iterations = run_restarts(_projected_gradient(
-            op, s, exc.last_iterate[op.lo:op.hi]), _STALL_ITERS)
+            op, s, exc.last_iterate[:-1]), _STALL_ITERS)
     field = RadialField(op.grid, op.full_values(np.maximum(u, 0.0)),
                         boundary="dirichlet")
     return SubcriticalSolution(field=field, lam=lam, s=s,

@@ -15,8 +15,11 @@ from conftest import REPO_ROOT
 
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 
+import inputs  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
+from yamabe_lab.constants import lambda_constant  # noqa: E402
+from yamabe_lab.radial import load_field_csv  # noqa: E402
 
 
 @pytest.mark.parametrize("target", tracer.TARGETS,
@@ -59,3 +62,17 @@ def test_workload_first_op_traced(name, counters, tmp_path):
     totals = tracer.layer_totals(recorder.spans)
     for span, counter in counters:
         assert totals[span][counter] > 0, (span, counter)
+
+
+@pytest.mark.parametrize("seed", range(1, 8))
+def test_cold_cli_fields_start_at_the_pole(seed, tmp_path):
+    # blowup --field refuses a field CSV whose first r is not 0; every
+    # field the cold_cli workload writes loads as a ball, so no op meets
+    # that refusal.
+    ops = inputs.cold_cli_inputs(REPO_ROOT, seed, tmp_path,
+                                 lambda_constant(3))
+    blowups = [op for op in ops if op["command"] == "blowup"]
+    assert blowups
+    for op in blowups:
+        grid = load_field_csv(op["field"]).grid
+        assert (grid.N, grid.j) == (op["nodes"], op["radius"])

@@ -608,7 +608,7 @@ _R = np.linspace(0.0, 4.0, 129)
     (_R, 1e200 * np.exp(-_R**2), "too tall to rescale"),
     (_R, 1e160 * np.exp(-_R**2), "too tall to rescale"),
     # Knots the spline could not take: decreasing radii and too few rows.
-    (_R[::-1], np.exp(-_R**2), "need 0 <= r_lo < j"),
+    (_R[::-1], np.exp(-_R**2), "field grid must start at r = 0"),
     (_R[:3], np.exp(-_R[:3] ** 2), "N must be >= 32"),
     # Taller than sqrt(5 / h) = 12.6, the window delta * 5 with
     # delta = m^-2 fell inside the first cell: every resample landed
@@ -616,6 +616,10 @@ _R = np.linspace(0.0, 4.0, 129)
     (_R, 30.0 * np.exp(-_R**2), "too narrow for its grid"),
     (_R, 1e3 * np.exp(-_R**2), "too narrow for its grid"),
     (_R, 1e150 * np.exp(-_R**2), "too narrow for its grid"),
+    # Fields live on balls [0, j]: one that starts off the pole, as an
+    # annulus field would, is refused.
+    (_R[8:], np.exp(-_R[8:] ** 2), "field grid must start at r = 0, got "
+     "r = 0.25"),
 ])
 def test_blowup_refused_field_exits_one(flat_config, tmp_path, capsys, r, u,
                                         message):

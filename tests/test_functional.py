@@ -6,20 +6,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import IntegrationWarning, quad, solve_bvp
 from scipy.optimize import brentq
 
 from yamabe_lab import functional, manifold
 from yamabe_lab.config import load_config, profile_from_config
-from yamabe_lab.constants import area_weight, conformal_coupling
+from yamabe_lab.constants import (area_weight, conformal_coupling,
+                                  critical_exponent)
 from yamabe_lab.errors import ConvergenceError, DomainError, StabilizationError
 from yamabe_lab.functional import (BubbleSpec, bubble_quotient, bubble_values,
                                    cylinder_length, exterior_quotient,
                                    lambda_constant, radial_cylinder_quotient,
                                    scalar_lower_bound)
 from yamabe_lab.manifold import MetricProfile
-from yamabe_lab.radial import RadialGrid
-from yamabe_lab.subcritical import continue_to_critical
 
 
 # -- bubbles -----------------------------------------------------------------
@@ -171,36 +170,58 @@ def test_radial_cylinder_quotient_decreases_to_lambda(n):
     # infinite cylinder is conformal to R^n minus a point.
     lam = lambda_constant(n)
     values = [radial_cylinder_quotient(n, length)
-              for length in (0.05, 0.2723, 5.0, 15.0, 25.0, 40.0)]
+              for length in (0.05, 0.2723, 5.0, 15.0, 25.0, 40.0, 1e3, 1e6,
+                             1e300)]
     for shorter, longer in zip(values, values[1:]):
         assert longer <= shorter * (1.0 + 1e-13)
     assert min(values) >= lam * (1.0 - 1e-12)
 
 
-def _cylinder_profile(n: int, s_max: float) -> MetricProfile:
-    """Cylinder gauge: f == 1 (round unit cross-section) for s >= 1; the
-    linear stub near 0 only satisfies the profile axioms."""
-    return MetricProfile(
-        n=n, r_max=s_max, name="cylinder-gauge",
-        f=lambda s: np.minimum(np.asarray(s, dtype=float), 1.0),
-        f_prime=lambda s: (np.asarray(s, dtype=float) < 1.0).astype(float),
-        f_second=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-        c3=0.0)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_radial_cylinder_quotient_takes_long_lengths_at_the_cap(n):
+    # Past 80/sqrt(a) the value is Lambda(n) to rounding, and the peak
+    # offset exp(-sqrt(a) length) would underflow near length 1500.
+    cap = 80.0 / math.sqrt(((n - 2) / 2.0) ** 2)
+    at_cap = radial_cylinder_quotient(n, cap)
+    assert at_cap == pytest.approx(lambda_constant(n), rel=1e-14, abs=0.0)
+    for length in (1e3, 1e6, 1e300):
+        assert radial_cylinder_quotient(n, length) == at_cap
 
 
-@pytest.mark.parametrize("length", [5.0, 15.0])
-def test_radial_cylinder_quotient_matches_finite_differences(length):
-    # The polished critical solve on the meshed segment [2, 2 + L] of the
-    # cylinder gauge converges to the first-integral value at second
-    # order in the mesh width (-1.1e-5 at 64 nodes per unit on L = 5).
-    exact = radial_cylinder_quotient(3, length)
-    errors = []
-    for per_unit in (64, 256):
-        grid = RadialGrid(j=2.0 + length, N=int(per_unit * length), r_lo=2.0)
-        result = continue_to_critical(_cylinder_profile(3, 2.0 + length), grid)
-        errors.append(abs(result.y_critical - exact) / exact)
-    assert errors[1] < 1e-6
-    assert 1.8 <= math.log(errors[0] / errors[1], 4.0) <= 2.2
+def _cylinder_guess(length: float, kind: str, t):
+    """(u, u') of a start for -u'' + u/4 = u^5 on [0, length]: a sine, or
+    the infinite cylinder's bubble m_0 cosh(t/2)^(-1/2) centred on the
+    segment and shifted down to vanish at its ends."""
+    if kind == "sine":
+        k = math.pi / length
+        return np.vstack([np.sin(k * t), k * np.cos(k * t)])
+    m_0, z = 0.75 ** 0.25, 0.5 * (t - 0.5 * length)
+    return np.vstack([m_0 * (np.cosh(z) ** -0.5
+                             - math.cosh(0.25 * length) ** -0.5),
+                      -0.25 * m_0 * np.cosh(z) ** -1.5 * np.sinh(z)])
+
+
+@pytest.mark.parametrize("length, guess", [(5.0, "sine"), (15.0, "bubble")])
+def test_radial_cylinder_quotient_matches_solve_bvp(length, guess):
+    # scipy's collocation solve of -u'' + a u = u^{p-1}, u(0) = u(L) = 0,
+    # at n = 3 (a = 1/4, p = 6), where Q = (|S^2| int u^p)^{2/3}.  The
+    # bubble start on the short segment would converge to u = 0, so the
+    # solve must end positive.
+    p, a = critical_exponent(3), 0.25
+
+    def rhs(t, y):
+        return np.vstack([y[1], a * y[0] - np.abs(y[0]) ** (p - 2.0) * y[0]])
+
+    t = np.linspace(0.0, length, 101)
+    sol = solve_bvp(rhs, lambda ya, yb: np.array([ya[0], yb[0]]), t,
+                    _cylinder_guess(length, guess, t), tol=1e-10,
+                    max_nodes=100_000)
+    assert sol.status == 0
+    assert np.max(sol.y[0]) > 0.0
+    mass = quad(lambda x: abs(float(sol.sol(x)[0])) ** p, 0.0, length,
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    assert (area_weight(3) * mass) ** (2.0 / 3.0) == pytest.approx(
+        radial_cylinder_quotient(3, length), rel=1e-12, abs=0.0)
 
 
 def test_flat_exterior_quotient_near_lambda():
@@ -253,10 +274,9 @@ def test_radial_cylinder_quotient_rejects_lengths_outside_0_inf():
             radial_cylinder_quotient(3, length)
 
 
-@pytest.mark.parametrize("length", [1e-100, 1500.0])
+@pytest.mark.parametrize("length", [1e-100])
 def test_radial_cylinder_quotient_beyond_float64(length):
-    # The u^p integral overflows on very short segments, and the peak
-    # offset exp(-sqrt(a) length) underflows on very long ones.
+    # The u^p integral overflows on very short segments.
     with pytest.raises(DomainError, match="beyond float64"):
         radial_cylinder_quotient(3, length)
 

@@ -26,15 +26,15 @@ def field_from_function(grid: RadialGrid, fn, boundary="free") -> RadialField:
 def test_grid_validation():
     with pytest.raises(DomainError):
         RadialGrid(j=1.0, N=8)           # below the interval floor
-    with pytest.raises(DomainError):
-        RadialGrid(j=1.0, N=64, r_lo=1.5)
+    for j in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="need j > 0"):
+            RadialGrid(j=j, N=64)
 
 
 def test_grid_nodes():
-    grid = RadialGrid(j=2.0, N=64, r_lo=1.0)
-    assert grid.h == pytest.approx(1.0 / 64)
-    assert grid.nodes[0] == 1.0 and grid.nodes[-1] == 2.0
-    assert not grid.is_ball
+    grid = RadialGrid(j=2.0, N=64)
+    assert grid.h == 2.0 / 64
+    assert grid.nodes[0] == 0.0 and grid.nodes[-1] == 2.0
 
 
 def test_field_validation():
@@ -47,16 +47,9 @@ def test_field_validation():
         RadialField(grid, np.ones(65), boundary="dirichlet")  # u(j) != 0
     with pytest.raises(DomainError):
         RadialField(grid, np.ones(65), boundary="periodic")
-
-
-def test_annulus_dirichlet_needs_both_ends():
-    grid = RadialGrid(j=2.0, N=64, r_lo=1.0)
     vals = np.ones(65)
     vals[-1] = 0.0
-    with pytest.raises(DomainError):
-        RadialField(grid, vals, boundary="dirichlet")
-    vals[0] = 0.0
-    RadialField(grid, vals, boundary="dirichlet")  # now fine
+    RadialField(grid, vals, boundary="dirichlet")  # the pole is free
 
 
 # -- quadrature --------------------------------------------------------------
@@ -172,7 +165,7 @@ def test_operator_energy_matches_quadratic_form(seed):
     vals[-1] = 0.0
     u = RadialField(grid, vals, boundary="dirichlet")
     op = DiscreteOperator(prof, grid)
-    quad_form = op.energy(vals[op.lo:op.hi])
+    quad_form = op.energy(vals[:-1])
     assert quad_form == pytest.approx(yamabe_energy(u, prof), rel=1e-10)
 
 
@@ -183,8 +176,8 @@ def laplace_beltrami(u: RadialField, profile) -> RadialField:
     """Pointwise radial Laplacian u'' + (n-1)(f'/f) u'.
 
     Second-order centered stencils inside; at the pole the regular limit
-    n u''(0) with the symmetry ghost; one-sided (first-order u'') at other
-    ends.
+    n u''(0) with the symmetry ghost; one-sided (first-order u'') at the
+    outer end.
     """
     grid, n = u.grid, profile.n
     r, v, h = grid.nodes, u.values, grid.h
@@ -194,12 +187,7 @@ def laplace_beltrami(u: RadialField, profile) -> RadialField:
     upp = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
     up = (v[2:] - v[:-2]) / (2.0 * h)
     out[1:-1] = upp + (n - 1) * fpr / fr * up
-    if grid.is_ball:
-        out[0] = 2.0 * n * (v[1] - v[0]) / h**2
-    else:
-        coef = (n - 1) * float(profile.f_prime(r[0])) / float(profile.f(r[0]))
-        out[0] = ((v[2] - 2 * v[1] + v[0]) / h**2
-                  + coef * (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h))
+    out[0] = 2.0 * n * (v[1] - v[0]) / h**2
     coef = (n - 1) * float(profile.f_prime(r[-1])) / float(profile.f(r[-1]))
     out[-1] = ((v[-1] - 2 * v[-2] + v[-3]) / h**2
                + coef * (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h))
@@ -217,20 +205,21 @@ def test_laplacian_of_r_squared_flat():
 
 def test_laplacian_eigenfunction_hyperbolic():
     # u = cosh r solves Delta u = n u when f = sinh (radial check away
-    # from the pole on an annulus grid).
+    # from the pole and the outer end).
     prof = manifold.hyperbolic(3, r_max=6.0)
-    grid = RadialGrid(j=4.0, N=2048, r_lo=1.0)
+    grid = RadialGrid(j=4.0, N=2048)
     u = field_from_function(grid, np.cosh)
     out = laplace_beltrami(u, prof)
-    interior = out.values[2:-2] / u.values[2:-2]
-    assert np.allclose(interior, 3.0, rtol=1e-5)
+    away = grid.nodes[:-2] >= 1.0
+    assert np.allclose(out.values[:-2][away] / u.values[:-2][away], 3.0,
+                       rtol=1e-5)
 
 
 # -- serialization -----------------------------------------------------------
 
 
 def test_field_csv_roundtrip_exact(tmp_path):
-    grid = RadialGrid(j=1.0, N=64, r_lo=0.25)
+    grid = RadialGrid(j=1.0, N=64)
     rng = np.random.default_rng(7)
     vals = rng.standard_normal(65)
     vals[:4] = (-0.0, 1e-300, -2.5e16, 5e-324)

@@ -79,7 +79,7 @@ def el_residual(u: RadialField, profile, lam: float, s: float) -> float:
     dirichlet field, through the solver's weak tridiagonal operator, so a
     converged solve reports its own Newton residual."""
     op = DiscreteOperator(profile, u.grid)
-    return op.strong_norm(op.residual(u.values[op.lo:op.hi], s, lam)[1])
+    return op.strong_norm(op.residual(u.values[:-1], s, lam)[1])
 
 
 @pytest.mark.parametrize("k", range(20))
@@ -198,9 +198,9 @@ def test_default_schedule_rejects_bad_eps_s(eps_s):
 
 
 def test_continuation_builds_one_operator(monkeypatch):
-    # Ball (ends on a grid-scale spike) and annulus (reaches the critical
-    # polish): the eigenpair, every schedule step and the polish share
-    # one DiscreteOperator.
+    # An n = 3 ball (ends on a grid-scale spike) and an n = 4 ball
+    # (reaches the critical polish): the eigenpair, every schedule step
+    # and the polish share one DiscreteOperator.
     builds = []
     original = subcritical.DiscreteOperator.__init__
 
@@ -210,14 +210,14 @@ def test_continuation_builds_one_operator(monkeypatch):
 
     monkeypatch.setattr(subcritical.DiscreteOperator, "__init__",
                         counting_init)
-    prof = manifold.euclidean(3, r_max=20.0)
-    ball = continue_to_critical(prof, RadialGrid(j=1.0, N=64))
+    ball = continue_to_critical(manifold.euclidean(3, r_max=20.0),
+                                RadialGrid(j=1.0, N=64))
     assert "spike" in ball.concentration_reason
     assert len(builds) == 1
-    annulus = RadialGrid(j=3.0, N=128, r_lo=1.0)
-    polished = continue_to_critical(prof, annulus)
+    grid = RadialGrid(j=3.0, N=128)
+    polished = continue_to_critical(manifold.euclidean(4, r_max=20.0), grid)
     assert polished.y_critical is not None
-    assert builds[1:] == [annulus]
+    assert builds[1:] == [grid]
 
 
 def _dense_operator(profile, grid):
@@ -240,15 +240,15 @@ def _old_apply(op, u):
     # The all-node product the operator used before it kept its
     # unknown block: zero-padded, then diag, upper and lower terms.
     v = np.zeros(op.grid.N + 1)
-    v[op.lo:op.hi] = u
+    v[:-1] = u
     out = op.diag * v
     out[:-1] += op.off * v[1:]
     out[1:] += op.off * v[:-1]
-    return out[op.lo:op.hi]
+    return out[:-1]
 
 
 def _old_strong_norm(op, res):
-    w = op.W[op.lo:op.hi].copy()
+    w = op.W[:-1].copy()
     zero = w == 0.0
     if np.any(zero):
         w[zero] = midpoint_weights(op.grid, op.profile)[0] * op.grid.h
@@ -257,13 +257,13 @@ def _old_strong_norm(op, res):
 
 @pytest.mark.parametrize("profile, grid", [
     (manifold.power_bump(3, -0.5, 0.25, 40.0), RadialGrid(j=3.0, N=96)),
-    (manifold.hyperbolic(3, 10.0), RadialGrid(j=4.0, N=80, r_lo=1.5)),
+    (manifold.hyperbolic(3, 10.0), RadialGrid(j=4.0, N=80)),
 ])
 def test_operator_apply_and_strong_norm_references(profile, grid):
     op = subcritical.DiscreteOperator(profile, grid)
     rng = np.random.default_rng(3)
     u = rng.standard_normal(op.n_unknowns)
-    A = _dense_operator(profile, grid)[op.lo:op.hi, op.lo:op.hi]
+    A = _dense_operator(profile, grid)[:-1, :-1]
     au = op.apply(u)
     np.testing.assert_allclose(au, A @ u, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(A)))
@@ -281,12 +281,12 @@ def test_operator_apply_and_strong_norm_references(profile, grid):
                         w)
     assert op.strong_norm(res) == pytest.approx(
         math.sqrt(float(np.sum(res**2 / expected))), rel=1e-14)
-    assert (w[0] == 0.0) == grid.is_ball
+    assert w[0] == 0.0
 
 
 @pytest.mark.parametrize("profile, grid", [
     (manifold.power_bump(3, -0.5, 0.25, 40.0), RadialGrid(j=3.0, N=96)),
-    (manifold.hyperbolic(3, 10.0), RadialGrid(j=4.0, N=80, r_lo=1.5)),
+    (manifold.hyperbolic(3, 10.0), RadialGrid(j=4.0, N=80)),
 ])
 def test_operator_constraint_normalize_and_residual(profile, grid):
     # The L^s constraint against the quadrature API, the residual against
@@ -301,7 +301,7 @@ def test_operator_constraint_normalize_and_residual(profile, grid):
         lp_norm(field, s, profile) ** s, rel=1e-12)
     v = op.normalize(u, s)
     assert op.constraint(v, s) == pytest.approx(1.0, rel=1e-12)
-    A = _dense_operator(profile, grid)[op.lo:op.hi, op.lo:op.hi]
+    A = _dense_operator(profile, grid)[:-1, :-1]
     nonlinear = op.weights() * np.abs(v) ** (s - 2.0) * v
     atol = 1e-12 * np.max(np.abs(A))
     lam, res = op.residual(v, s)
@@ -350,7 +350,7 @@ def _kernel_rows(op, s, u, du, block):
 @pytest.mark.parametrize("grid", [
     RadialGrid(j=255 / 128, N=255), RadialGrid(j=511 / 128, N=511),
     RadialGrid(j=543 / 128, N=543), RadialGrid(j=1023 / 128, N=1023),
-    RadialGrid(j=3.0, N=384, r_lo=1.0),
+    RadialGrid(j=3.0, N=384),
 ])
 def test_trial_block_matches_one_row_evaluation_bitwise(grid):
     # All 21 trials u + 2^-k du of a line search as one block, as 21
@@ -435,28 +435,30 @@ def test_continuation_golden_values():
         "minimizer narrowed to a grid-scale spike at s = 5.820813")
 
 
-def test_annulus_continuation_golden_values():
-    # Captured before the solver took its operator as the first argument:
-    # an annulus whose continuation reaches the critical polish.
-    result = continue_to_critical(manifold.euclidean(3, 20.0),
-                                  RadialGrid(j=3.0, N=128, r_lo=1.0))
+def test_polished_continuation_golden_values():
+    # Captured before the annulus grids were deleted: an n = 4 ball whose
+    # continuation reaches the critical polish (no n = 3 ball does).
+    result = continue_to_critical(manifold.euclidean(4, 20.0),
+                                  RadialGrid(j=3.0, N=128))
     assert result.lam_values == (
-        5.724828008101042, 16.29300019294253, 23.27373321634676,
-        27.476144674015565, 30.036839657892802, 31.62934106403799,
-        32.63593170957828, 33.27948804712857, 33.694131341252245,
-        33.96266240259235, 34.13715943628965, 34.2508045499554,
-        34.32492695909199, 34.373318021546076, 34.4049301547227,
-        34.425589719262206)
-    assert result.y_critical == 34.46461234883754
-    assert result.critical_residual == 3.1495707233427447e-12
+        4.276388860943882, 7.389296238484689, 9.24526814329767,
+        10.1810082582207, 10.590025309692422, 10.72594750897515,
+        10.731056009876873, 10.680658809150925, 10.612924584488905,
+        10.546118894101962, 10.48806675648267, 10.441210306838844,
+        10.405279091051266, 10.378749844131846, 10.359700396395763,
+        10.346291828254934)
+    assert result.q_p_witness == 10.318174537760626
+    assert result.y_critical == 10.317039629434895
+    assert result.critical_residual == 2.6785948275443644e-13
     assert not result.concentration
 
 
 def test_solver_accepts_critical_exponent():
-    # 2 < s <= p: the critical polish solves at s = p itself.
-    prof = manifold.euclidean(3, r_max=20.0)
-    op = DiscreteOperator(prof, RadialGrid(j=3.0, N=128, r_lo=1.0))
-    p = critical_exponent(3)
+    # 2 < s <= p: the critical polish solves at s = p itself, here on an
+    # n = 4 ball straight from its eigenfield.
+    prof = manifold.euclidean(4, r_max=20.0)
+    op = DiscreteOperator(prof, RadialGrid(j=2.0, N=256))
+    p = critical_exponent(4)
     sol = solve_subcritical(op, p)
     assert sol.s == p
     assert sol.residual <= 1e-10
@@ -470,7 +472,7 @@ def test_solver_accepts_critical_exponent():
 @pytest.mark.parametrize("profile, grid", [
     (manifold.euclidean(3, 10.0), RadialGrid(j=1.0, N=64)),
     (manifold.power_bump(3, -0.5, 0.25, 40.0), RadialGrid(j=3.0, N=384)),
-    (manifold.hyperbolic(3, 10.0), RadialGrid(j=4.0, N=80, r_lo=1.5)),
+    (manifold.hyperbolic(3, 10.0), RadialGrid(j=4.0, N=80)),
     (manifold.cigar(4, 50.0), RadialGrid(j=8.0, N=1100)),
 ])
 def test_solve_banded_matches_scipy_bitwise(profile, grid):
