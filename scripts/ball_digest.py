@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Print one line per distinct ball of the benchmark's ``balls`` inputs.
+"""Print one line per distinct input of the benchmark's in-process
+workloads, ``balls`` and ``exterior``.
 
 Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/ball_digest.py 1-7 > digest.txt
 
 SEEDS is a comma list of seeds and ranges, such as ``1,3,5-7``.  The
-inputs are those of ``perfbench/inputs.py``; each ball is solved once, as
-``run_exhaustion`` solves it, in the order the inputs first name it.  A
-line holds the config name, the radius ``j``, ``repr(Y_j)``, the
-multipliers ``lam_values``, the full concentration reason and the sha256
-of the stored field's values.  Equal output from two checkouts means
-equal ball records, bit for bit, so a change that claims to keep every
-answer can be checked with ``diff``.
+inputs are those of ``perfbench/inputs.py``, each taken once, in the
+order the inputs first name it.  Each ball is solved as
+``run_exhaustion`` solves it; its line holds the config name, the radius
+``j``, ``repr(Y_j)``, the multipliers ``lam_values``, the full
+concentration reason and the sha256 of the stored field's values.  The
+exterior lines follow, one per (config, ``r_in``): ``repr`` of the
+``exterior_quotient`` value and of the ``scalar_lower_bound`` value, and
+the bound's ``divergent`` flag.  Equal output from two checkouts means
+equal answers, bit for bit, so a change that claims to keep every answer
+can be checked with ``diff``.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from pathlib import Path
 
 from yamabe_lab.config import load_config, profile_from_config
 from yamabe_lab.exhaustion import solve_ball
+from yamabe_lab.functional import exterior_quotient, scalar_lower_bound
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,10 +46,11 @@ def digest_lines(seeds) -> list:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
 
-    seen, lines = set(), []
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
+        seen = set()
         for seed in seeds:
-            out = Path(tmp) / f"seed{seed}"
+            out = Path(tmp) / f"balls{seed}"
             out.mkdir()
             for op in inputs.ball_inputs(ROOT, seed, out):
                 config = load_config(op["path"])
@@ -65,6 +71,21 @@ def digest_lines(seeds) -> list:
                         f"lam_values={list(rec.lam_values)!r} "
                         f"reason={rec.concentration_reason!r} "
                         f"field={sha.hexdigest()}")
+        seen = set()
+        for seed in seeds:
+            out = Path(tmp) / f"exterior{seed}"
+            out.mkdir()
+            for op in inputs.exterior_inputs(ROOT, seed, out):
+                if (op["config"], op["r_in"]) in seen:
+                    continue
+                seen.add((op["config"], op["r_in"]))
+                profile = profile_from_config(load_config(op["path"]))
+                estimate = exterior_quotient(profile, op["r_in"])
+                lower = scalar_lower_bound(profile)
+                lines.append(
+                    f"{op['config']} r_in={op['r_in']!r} "
+                    f"value={estimate.value!r} lower={lower.value!r} "
+                    f"divergent={lower.divergent!r}")
     return lines
 
 

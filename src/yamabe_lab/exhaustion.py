@@ -25,8 +25,10 @@ from .errors import DomainError, InfeasibleExponentError, MonotonicityError
 from .manifold import MetricProfile
 from .radial import (RadialField, RadialGrid, load_field_csv, lp_norm,
                      save_field_csv)
-from .subcritical import (ContinuationResult, DiscreteOperator,
-                          continue_to_critical)
+from .records import ContinuationResult
+
+# solve_ball and subsolution_check import the solver, which loads
+# scipy.linalg, when called: reading a trace (decay) loads neither.
 
 BOUNDARY_LAYER = 0.125  # thickness of U_j = {d(x, boundary) < 1/8}, fixed
 _PR_SET_PDEATHSIG = 1  # Linux prctl option: a signal for when the parent ends
@@ -197,6 +199,8 @@ def solve_ball(profile: MetricProfile, j: float, nodes_per_unit: int = 128,
                **solver_options) -> ContinuationResult:
     """Continuation solve on the ball of radius ``j`` of an exhaustion, on
     ``nodes_per_unit`` cells per unit radius (at least 64 cells)."""
+    from .subcritical import continue_to_critical
+
     grid = RadialGrid(j=j, N=max(64, int(round(nodes_per_unit * j))))
     result = continue_to_critical(profile, grid, **solver_options)
     if result.field is None:
@@ -266,6 +270,8 @@ def subsolution_check(trace: ExhaustionTrace, j: float,
     multiplier rescaled for the field's L^p renormalization
     (u -> c u turns the multiplier into lam c^{2-s}).
     """
+    from .subcritical import DiscreteOperator
+
     rec = trace.record_for(j)
     big_j = _EXTENSION_FACTOR * j
     profile.check_radius(big_j)

@@ -259,9 +259,10 @@ def cylinder_length(profile: MetricProfile, r_in: float, r_out: float) -> float:
         return r / profile.f(r)
 
     # f may overflow to inf far out (sinh r past r ~ 710), where r/f -> 0
-    # is the right value.
+    # is the right value.  The tolerance is relative only, so that a
+    # length below quad's default epsabs (1.49e-8) keeps its digits.
     with np.errstate(over="ignore"):
-        return _quad(integrand, 0.0, math.log(r_out / r_in))
+        return _quad(integrand, 0.0, math.log(r_out / r_in), epsabs=0.0)
 
 
 def radial_cylinder_quotient(n: int, length: float) -> float:
@@ -468,9 +469,14 @@ def scalar_lower_bound(profile: MetricProfile) -> ScalarLowerBound:
         # Not finite where the profile overflows float64 (sinh r beyond
         # r ~ 355): the volume density is unbounded there, no bound holds.
         return ScalarLowerBound(value=None, divergent=True)
-    negative = np.maximum(-curvature, 0.0)
-    fvals = np.asarray(profile.f(r), dtype=float)
-    integrand = negative ** (n / 2.0) * fvals ** (n - 1)
+    support = curvature < 0.0
+    if not support.any():
+        return ScalarLowerBound(value=0.0, divergent=False)
+    # (R_g)_-^{n/2} f^{n-1}, evaluated only where R_g < 0.
+    integrand = np.zeros_like(r)
+    integrand[support] = ((-curvature[support]) ** (n / 2.0)
+                          * np.asarray(profile.f(r[support]), dtype=float)
+                          ** (n - 1))
     total = area_weight(n) * float(np.trapezoid(integrand, r))
     if total == 0.0:
         return ScalarLowerBound(value=0.0, divergent=False)

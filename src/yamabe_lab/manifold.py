@@ -349,20 +349,17 @@ def scalar_curvature(profile: MetricProfile, r):
     scalar_input = r.ndim == 0
     r = np.atleast_1d(r)
     n = profile.n
-    out = np.empty_like(r)
-    pole = r < _POLE_SERIES_RADIUS
-    if np.any(~pole):
-        rr = r[~pole]
-        # Where f overflows (sinh r past r ~ 710) the formula gives inf or
-        # nan, which the finiteness check below reports.
-        with np.errstate(over="ignore", invalid="ignore"):
-            fv = profile.f(rr)
-            fp = profile.f_prime(rr)
-            fpp = profile.f_second(rr)
-            out[~pole] = (-2.0 * (n - 1) * fpp / fv
-                          + (n - 1) * (n - 2) * (1.0 - fp**2) / fv**2)
-    if np.any(pole):
-        out[pole] = -6.0 * profile.c3 * n * (n - 1)
+    # The formula runs on every radius, and the pole series overwrites
+    # r < _POLE_SERIES_RADIUS, where the formula divides by f(0) = 0.
+    # Where f overflows (sinh r past r ~ 710) it gives inf or nan, which
+    # the finiteness check below reports.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fv = profile.f(r)
+        fp = profile.f_prime(r)
+        fpp = profile.f_second(r)
+        out = (-2.0 * (n - 1) * fpp / fv
+               + (n - 1) * (n - 2) * (1.0 - fp**2) / fv**2)
+    out[r < _POLE_SERIES_RADIUS] = -6.0 * profile.c3 * n * (n - 1)
     if not np.all(np.isfinite(out)):
         raise DomainError("scalar curvature not finite on requested radii")
     return float(out[0]) if scalar_input else out

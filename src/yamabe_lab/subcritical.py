@@ -12,7 +12,7 @@ to round-off throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +23,7 @@ from .errors import ConvergenceError, DomainError
 from .manifold import MetricProfile
 from .radial import (RadialField, RadialGrid, lp_norm, midpoint_weights,
                      node_weights, yamabe_energy)
+from .records import ContinuationResult
 
 _EIGEN_MAX_ITERS = 200  # inverse iterations of first_eigenpair
 _EIGEN_TOL = 1e-13  # its relative eigenvalue tolerance
@@ -531,31 +532,6 @@ def default_schedule(n: int, s_start: float, count: int,
     if not schedule[-1] < p:
         raise DomainError(f"eps_s = {eps_s} rounds the last exponent to p")
     return schedule
-
-
-@dataclass(frozen=True)
-class ContinuationResult:
-    """Outcome of the schedule s -> p on the ball of radius ``j``; an
-    exhaustion trace holds one per ball."""
-
-    j: float
-    schedule: tuple
-    lam_values: tuple
-    q_p_witness: float
-    y_critical: float | None
-    field: RadialField | None = dc_field(repr=False)
-    concentration: bool
-    concentration_reason: str
-    critical_residual: float | None
-
-    @property
-    def y(self) -> float:
-        """Critical multiplier when the polish is attained, else the
-        critical-quotient witness of the last solved field.  Either one is
-        the discrete Yamabe quotient of ``field``."""
-        if self.y_critical is not None:
-            return self.y_critical
-        return self.q_p_witness
 
 
 def _half_max_width(field: RadialField) -> float:

@@ -261,15 +261,33 @@ def test_cold_exterior_loads_no_quadrature_scipy(configs_dir, exhaust_out,
                                                  command):
     # The exterior quotient's quadratures and root find are numpy code:
     # scipy.integrate pulled in scipy.optimize and scipy.special too.
-    # The subcritical solver still binds LAPACK's dgtsv from scipy.linalg.
     extra = (("--trace", str(exhaust_out / "trace.json"))
              if command == "decay" else ())
     imported = _cold_imports(command, "--config",
                              str(configs_dir / "flat3.json"), *extra)
     assert "yamabe_lab.functional" in imported
-    assert "scipy.linalg" in imported
     assert not [m for m in imported if m.split(".")[:2] in (
         ["scipy", "integrate"], ["scipy", "optimize"], ["scipy", "special"])]
+
+
+def test_cold_constants_loads_the_solver_lapack(configs_dir):
+    # constants solves the exhaustion's balls: the subcritical solver
+    # binds LAPACK's dgtsv from scipy.linalg.
+    imported = _cold_imports("constants", "--config",
+                             str(configs_dir / "flat3.json"))
+    assert "yamabe_lab.subcritical" in imported
+    assert "scipy.linalg" in imported
+
+
+def test_cold_decay_imports_no_scipy(configs_dir, exhaust_out):
+    # decay reads a stored trace and solves nothing: the trace's record
+    # type lives apart from the solver, so no scipy module loads.
+    imported = _cold_imports("decay", "--config",
+                             str(configs_dir / "flat3.json"),
+                             "--trace", str(exhaust_out / "trace.json"))
+    assert "yamabe_lab.records" in imported
+    assert "yamabe_lab.subcritical" not in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
 
 def test_cold_blowup_imports_no_quotients(configs_dir, exhaust_out):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yamabe_lab import exhaustion, manifold
+from yamabe_lab import exhaustion, manifold, subcritical
 from yamabe_lab.cli import _run_trace, main
 from yamabe_lab.config import load_config, profile_from_config
 from yamabe_lab.constants import critical_exponent
@@ -172,7 +172,7 @@ def _patch_balls(monkeypatch, actions):
             actions[grid.j]()
         return continue_to_critical(profile, grid, **options)
 
-    monkeypatch.setattr(exhaustion, "continue_to_critical", patched)
+    monkeypatch.setattr(subcritical, "continue_to_critical", patched)
 
 
 def _raise(exc):
@@ -249,7 +249,7 @@ def test_child_dies_with_a_caller_killed_by_a_signal(tmp_path):
     pid_file = tmp_path / "child.pid"
     script = f"""
 import os, time
-from yamabe_lab import exhaustion, manifold
+from yamabe_lab import exhaustion, manifold, subcritical
 
 def patched(profile, grid, **options):
     if grid.j == 4.0:
@@ -259,7 +259,7 @@ def patched(profile, grid, **options):
     time.sleep(120.0)
 
 exhaustion._usable_cpus = lambda: 2
-exhaustion.continue_to_critical = patched
+subcritical.continue_to_critical = patched
 exhaustion.run_exhaustion(manifold.euclidean(3, r_max=1e8), (1.0, 2.0, 4.0),
                           nodes_per_unit=32)
 """

@@ -151,6 +151,16 @@ def test_cylinder_length_hyperbolic_many_decades():
     assert length == pytest.approx(exact, rel=1e-10)
 
 
+def test_cylinder_length_keeps_digits_below_quad_epsabs():
+    # [DERIVED] int_20^inf dr/sinh r = -ln tanh 10 = 4.12e-9, below
+    # quad's default absolute tolerance 1.49e-8: the relative tolerance
+    # alone must hold.
+    q = math.exp(-20.0)
+    exact = math.log1p(q) - math.log1p(-q)  # -ln tanh 10
+    length = cylinder_length(manifold.hyperbolic(3, r_max=1e8), 20.0, 1e8)
+    assert length == pytest.approx(exact, rel=1e-7, abs=0.0)
+
+
 # Q_rad(3, L) - Lambda(3) from the first integral, tabulated in ROADMAP.md
 # ("Exterior truth").
 _EXTERIOR_EXCESS_3 = {15.0: 1.03e-2, 20.0: 8.44e-4, 25.0: 6.93e-5,
@@ -312,7 +322,8 @@ def _scipy_cylinder_length(profile, r_in, r_out):
         return r / float(profile.f(r))
 
     with np.errstate(over="ignore"):
-        return quad(integrand, 0.0, math.log(r_out / r_in), limit=200)[0]
+        return quad(integrand, 0.0, math.log(r_out / r_in), epsabs=0.0,
+                    limit=200)[0]
 
 
 @pytest.mark.parametrize("name", ["flat3", "bump3", "cigar3", "hyperbolic3",
@@ -492,6 +503,31 @@ def test_scalar_lower_bound_resolves_pole_at_large_r_max():
     for prof in (manifold.euclidean(3, 1e8), manifold.cigar(3, 1e8)):
         low = scalar_lower_bound(prof)
         assert low.value == 0.0 and not low.divergent
+
+
+# repr of scalar_lower_bound(profile).value as the bound computed it when
+# it integrated every sample, R >= 0 included.
+_LOWER_BOUND_GOLDEN = {
+    "bump3": (lambda: manifold.power_bump(3, -0.5, 0.25, 1e8),
+              "-5.0017448190172"),
+    "bump3-r100": (lambda: manifold.power_bump(3, -0.5, 0.25, 100.0),
+                   "-5.001742735824253"),
+    "bump5": (lambda: manifold.power_bump(5, -0.5, 0.25, 1e8),
+              "-18.11579424275181"),
+    "flat3": (lambda: manifold.euclidean(3, 1e8), "0.0"),
+    "cigar3": (lambda: manifold.cigar(3, 1e8), "0.0"),
+    "sphere3": (lambda: manifold.sphere(3), "0.0"),
+    "hyperbolic3-r30": (lambda: manifold.hyperbolic(3, 30.0), "None"),
+    "hyperbolic3-r1e8": (lambda: manifold.hyperbolic(3, 1e8), "None"),
+}
+
+
+@pytest.mark.parametrize("name", list(_LOWER_BOUND_GOLDEN))
+def test_scalar_lower_bound_golden_values(name):
+    make, expected = _LOWER_BOUND_GOLDEN[name]
+    low = scalar_lower_bound(make())
+    assert repr(low.value) == expected
+    assert low.divergent == (expected == "None")
 
 
 def test_scalar_lower_bound_bump_oracle():

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from yamabe_lab import manifold
 from yamabe_lab.errors import DomainError, ProfileError
+from yamabe_lab.functional import _lower_bound_samples
+from yamabe_lab.radial import RadialGrid
 
 
 # -- validation --------------------------------------------------------------
@@ -129,6 +131,84 @@ def test_bump_pole_curvature_series(a, b):
     # R(0) = -6 a n (n-1) for the bump family (c3 = a).
     prof = manifold.power_bump(3, a=a, b=b, r_max=10.0)
     assert prof.scalar_curvature(0.0) == pytest.approx(-36.0 * a, abs=1e-9)
+
+
+def _masked_scalar_curvature(profile, r):
+    """scalar_curvature as it was written with pole masks: the formula on
+    the gathered radii r >= 1e-4 only, the pole series scattered into the
+    others."""
+    profile.check_radius(r)
+    r = np.asarray(r, dtype=float)
+    scalar_input = r.ndim == 0
+    r = np.atleast_1d(r)
+    n = profile.n
+    out = np.empty_like(r)
+    pole = r < 1e-4
+    if np.any(~pole):
+        rr = r[~pole]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fv = profile.f(rr)
+            fp = profile.f_prime(rr)
+            fpp = profile.f_second(rr)
+            out[~pole] = (-2.0 * (n - 1) * fpp / fv
+                          + (n - 1) * (n - 2) * (1.0 - fp**2) / fv**2)
+    if np.any(pole):
+        out[pole] = -6.0 * profile.c3 * n * (n - 1)
+    if not np.all(np.isfinite(out)):
+        raise DomainError("scalar curvature not finite on requested radii")
+    return float(out[0]) if scalar_input else out
+
+
+def _curvature_profiles():
+    t = np.linspace(0.0, 12.0, 400)
+    return {
+        "flat3": manifold.euclidean(3, 1e8),
+        "bump3": manifold.power_bump(3, -0.5, 0.25, 1e8),
+        "bump5": manifold.power_bump(5, 1.0, 1.0, 20.0),
+        "cigar3": manifold.cigar(3, 1e8),
+        "hyperbolic3": manifold.hyperbolic(3, 30.0),
+        "sphere4": manifold.sphere(4),
+        "table3": manifold.from_table(
+            3, t, t * (1.0 + 0.3 * t**2 * np.exp(-t**2)), 12.0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_curvature_profiles()))
+def test_scalar_curvature_bits_match_masked_formula(name):
+    # One pass of the formula over every radius, the pole series written
+    # over r < 1e-4 afterwards: the same operations on each element as
+    # the masked gather and scatter, so the same bits, and no warning
+    # from the divisions by f(0) = 0 that the series overwrites.
+    prof = _curvature_profiles()[name]
+    radius_sets = (
+        np.linspace(0.0, min(8.0, prof.r_max), 1025),
+        RadialGrid(j=2.0, N=256).nodes,
+        _lower_bound_samples(prof.r_max),
+        np.array([0.0, 1e-8, 5e-5, 9.99e-5, 1e-4, 1.0000001e-4, 2e-4]),
+        np.array([2.0, 0.0, 1.0, 5e-5, 0.5, 1e-4, 0.25]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in radius_sets:
+            got = prof.scalar_curvature(r)
+            assert got.tobytes() == _masked_scalar_curvature(prof, r).tobytes()
+        for r in (0.0, 1.3):
+            got = prof.scalar_curvature(r)
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == np.float64(
+                _masked_scalar_curvature(prof, r)).tobytes()
+
+
+def test_scalar_curvature_overflow_error_unchanged():
+    # sinh r overflows past r ~ 710: both forms refuse the same radii with
+    # the same error.
+    prof = manifold.hyperbolic(3, 1e8)
+    r = _lower_bound_samples(prof.r_max)
+    with pytest.raises(DomainError) as masked:
+        _masked_scalar_curvature(prof, r)
+    with pytest.raises(DomainError) as got:
+        prof.scalar_curvature(r)
+    assert str(got.value) == str(masked.value)
 
 
 # -- volume growth -----------------------------------------------------------
