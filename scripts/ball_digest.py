@@ -14,7 +14,10 @@ order the inputs first name it.  Each ball is solved as
 concentration reason and the sha256 of the stored field's values.  The
 exterior lines follow, one per (config, ``r_in``): ``repr`` of the
 ``exterior_quotient`` value and of the ``scalar_lower_bound`` value, and
-the bound's ``divergent`` flag.  Equal output from two checkouts means
+the bound's ``divergent`` flag.  Last come the ``Q_rad`` lines, one per
+(n, L): ``repr`` of ``radial_cylinder_quotient(n, L)`` at n = 3, 4, 5
+on the lengths ``Q_RAD_LENGTHS`` and the cap 80/sqrt(a), where
+a = ((n-2)/2)^2.  Equal output from two checkouts means
 equal answers, bit for bit, so a change that claims to keep every answer
 can be checked with ``diff``.
 """
@@ -29,9 +32,14 @@ from pathlib import Path
 
 from yamabe_lab.config import load_config, profile_from_config
 from yamabe_lab.exhaustion import solve_ball
-from yamabe_lab.functional import exterior_quotient, scalar_lower_bound
+from yamabe_lab.functional import (exterior_quotient,
+                                   radial_cylinder_quotient,
+                                   scalar_lower_bound)
 
 ROOT = Path(__file__).resolve().parents[1]
+# The lengths of test_radial_cylinder_quotient_matches_scipy_arithmetic.
+Q_RAD_LENGTHS = (0.05, 0.1, 0.2723, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0,
+                 17.7, 20.5, 25.0, 30.0, 40.0)
 
 
 def parse_seeds(text: str) -> list:
@@ -86,6 +94,11 @@ def digest_lines(seeds) -> list:
                     f"{op['config']} r_in={op['r_in']!r} "
                     f"value={estimate.value!r} lower={lower.value!r} "
                     f"divergent={lower.divergent!r}")
+    for n in (3, 4, 5):
+        cap = 80.0 / ((n - 2) / 2.0)  # 80/sqrt(a)
+        for length in Q_RAD_LENGTHS + (cap,):
+            lines.append(f"Q_rad n={n} L={length!r} "
+                         f"value={radial_cylinder_quotient(n, length)!r}")
     return lines
 
 

@@ -112,6 +112,33 @@ _TINY = float(np.finfo(float).tiny) / _ROUNDOFF
 _PANELS = 200  # panel budget of _quad (QUADPACK's `limit`)
 
 
+def _kronrod_panels(cuts: np.ndarray) -> tuple:
+    """The nodes and Kronrod weights of the 21-point rule on the panels
+    between consecutive ``cuts``, panel after panel."""
+    half = 0.5 * np.diff(cuts)[:, None]
+    mid = 0.5 * (cuts[:-1] + cuts[1:])[:, None]
+    return (mid + half * _NODES).ravel(), (half * _KRONROD).ravel()
+
+
+# Fixed panels of radial_cylinder_quotient's integrals.  Where p is not
+# an integer, u^p branches at u = 0, which both pieces meet: at z = 0, and
+# just past y = 1 on short segments.
+# - Inner: cuts at distances below z* for panels of widths 1/4, 1/4, 1/2,
+#   1, 2 and then 4, graded toward z*, where the u^p integrand peaks and
+#   1/sqrt G bends.  They reach 732, past z* < ln(2 u*) + 373 < 729,
+#   which holds wherever m^p is finite and C/a a positive float.  The
+#   last panel, [0, w], is split at w/64, w/16 and w/4.
+# - Outer: eight panels of y in [0, 1], of widths 1/4, 1/4, 1/4, 1/8,
+#   ..., 1/64, 1/64, graded toward y = 1.
+_INNER_CUTS = np.concatenate(([0.0, 0.25, 0.5, 1.0, 2.0],
+                              np.arange(4.0, 733.0, 4.0)))
+_INNER_OFFSETS, _INNER_WEIGHTS = _kronrod_panels(_INNER_CUTS)
+_BOTTOM_NODES, _BOTTOM_WEIGHTS = _kronrod_panels(
+    np.array([0.0, 1.0 / 64.0, 1.0 / 16.0, 0.25, 1.0]))
+_OUTER_NODES, _OUTER_WEIGHTS = _kronrod_panels(
+    np.array([0.0, 0.25, 0.5, 0.75, 0.875, 0.9375, 0.96875, 0.984375, 1.0]))
+
+
 def _qk21_panel(half: float, resk: float, resg: float, resabs: float,
                 resasc: float) -> tuple:
     """dqk21's (integral, error estimate, resasc) of a panel of half-width
@@ -280,6 +307,9 @@ def radial_cylinder_quotient(n: int, length: float) -> float:
     splits at u* = a^{1/(p-2)}, the maximum of G: u = sqrt(C/a) sinh z on
     [0, u*] takes the near-logarithmic growth of the length as C -> 0,
     and u = m - (m - u*) y^2 on [u*, m] removes the 1/sqrt endpoint.
+    Both pieces take the 21-point Kronrod rule on fixed panels (graded
+    toward z* and toward 0 on [0, z*], toward 1 on y in [0, 1]), so each
+    length evaluation calls each integrand once.
 
     A segment longer than 80/sqrt(a) is evaluated at that length: there
     Q - Lambda(n) ~ C exp(-sqrt(a) length) is far below rounding, and
@@ -329,10 +359,16 @@ def radial_cylinder_quotient(n: int, length: float) -> float:
             weight = 2.0 * math.sqrt(d)
             return weight / root if k == 0.0 else weight * u ** k / root
 
+        # The full inner panels lie in [0, z*]; the last one is cut at 0.
         z_star = math.asinh(u_star / scale)
-        return 2.0 * (
-            _quad(inner, 0.0, z_star, epsabs=0.0, epsrel=1e-13)
-            + _quad(outer, 0.0, 1.0, epsabs=0.0, epsrel=1e-13))
+        full = int(_INNER_CUTS.searchsorted(z_star)) - 1
+        nodes = 21 * full
+        width = z_star - _INNER_CUTS[full]
+        values = inner(np.concatenate((z_star - _INNER_OFFSETS[:nodes],
+                                       width * _BOTTOM_NODES)))
+        return 2.0 * float(values[:nodes] @ _INNER_WEIGHTS[:nodes]
+                           + width * (values[nodes:] @ _BOTTOM_WEIGHTS)
+                           + outer(_OUTER_NODES) @ _OUTER_WEIGHTS)
 
     # psi(l) = ln(e^l - 1) is l on long segments and ln l on short ones.
     # psi(length) falls near-linearly in the unknown x = ln(m - m_0), with

@@ -557,7 +557,7 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
     discretization can no longer represent, or when a solve fails.  On
     concentration the partial results are returned with the flag set;
     this is the expected exit on flat balls.  The returned field has unit
-    L^p norm.
+    L^p norm to rounding.
     """
     p = critical_exponent(profile.n)
     schedule = default_schedule(profile.n, s_start=s_start, count=count,
@@ -604,12 +604,6 @@ def continue_to_critical(profile: MetricProfile, grid: RadialGrid,
                 critical_residual = crit.residual
         except ConvergenceError as exc:
             concentration, reason = True, f"critical polish failed: {exc}"
-    if final_field is not None:
-        # Unit L^p norm by lp_norm on both branches.  The witness field
-        # has it already, and this second division moves some of its
-        # values by an ulp; stored fields keep those bits.
-        final_field = final_field.with_values(
-            final_field.values / lp_norm(final_field, p, profile))
 
     return ContinuationResult(
         j=grid.j,

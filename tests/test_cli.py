@@ -239,11 +239,15 @@ def _cold_imports(*argv) -> list:
 
 def test_cold_bubble_imports_no_scipy(configs_dir):
     # The cold bubble path needs numpy only; scipy alone would more than
-    # double a fresh process's wall time.
+    # double a fresh process's wall time.  functional's quadrature nodes
+    # are tabulated: building them with numpy.polynomial's leggauss at
+    # import costs a cold process about 2.7 ms.
     imported = _cold_imports("bubble", "--config",
                              str(configs_dir / "flat3.json"))
     assert "yamabe_lab.functional" in imported
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
+    assert not [m for m in imported
+                if m.split(".")[:2] == ["numpy", "polynomial"]]
 
 
 def test_cold_blowup_imports_no_scipy(configs_dir, exhaust_out):

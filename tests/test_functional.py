@@ -275,6 +275,33 @@ def test_exterior_stabilization_error_on_small_r_max():
         exterior_quotient(prof, 2.0)
 
 
+# repr of exterior_quotient(...).value on the shipped configs at each of
+# their r_in entries.  Against the adaptive quadrature that Q_rad used
+# before its fixed panels: flat3 at 1.0 moved from 5.479763850037428
+# (+1.6e-16 relative) and cigar3 from 5.477904127867049 (+4.9e-16,
+# toward the 40-digit 5.4779041278670529179); the other four are
+# unchanged.
+_EXTERIOR_GOLDEN = {
+    ("flat3", 1.0): "5.479763850037429",
+    ("flat3", 2.0): "5.4805340989187545",
+    ("bump3", 1.0): "5.47855826064771",
+    ("bump3", 2.0): "5.479537849444248",
+    ("cigar3", 2.0): "5.477904127867052",
+    ("cigar3", 4.0): "5.477904127867052",
+    ("hyperbolic3", 2.0): "215.40232124534097",
+}
+
+
+@pytest.mark.parametrize("name", ["flat3", "bump3", "cigar3", "hyperbolic3"])
+def test_exterior_quotient_golden_on_shipped_configs(configs_dir, name):
+    config = load_config(configs_dir / f"{name}.json")
+    profile = profile_from_config(config)
+    got = {(name, r_in): repr(exterior_quotient(profile, r_in).value)
+           for r_in in config.pipeline.r_in}
+    assert got == {key: value for key, value in _EXTERIOR_GOLDEN.items()
+                   if key[0] == name}
+
+
 def test_radial_cylinder_quotient_rejects_lengths_outside_0_inf():
     # 0 (r/f underflowing on the whole exterior) used to raise the bracket
     # until math.exp overflowed; -1, nan and inf ended in OverflowError,
@@ -343,9 +370,10 @@ def test_cylinder_length_matches_scipy_quad(name):
                 expected, rel=1e-14, abs=0.0), (r_in, r_out)
 
 
-def _scipy_radial_cylinder_quotient(n, length):
-    """radial_cylinder_quotient as it was written on scipy's quad and
-    brentq, with the bracket [-sqrt(a) length, 0] widened by 10."""
+def _scipy_cylinder_root(n, length):
+    """(ln(m - m_0), integral) of radial_cylinder_quotient as it was
+    written on scipy's quad and brentq, with the bracket
+    [-sqrt(a) length, 0] widened by 10."""
     p = 2.0 * n / (n - 2)
     a = ((n - 2) / 2.0) ** 2
     u_star = a ** (1.0 / (p - 2.0))
@@ -381,7 +409,13 @@ def _scipy_radial_cylinder_quotient(n, length):
         lo -= 10.0
     log_offset = brentq(lambda x: integral(x, 0.0) - length, lo, hi,
                         xtol=1e-14)
-    return (area_weight(n) * integral(log_offset, p)) ** (2.0 / n)
+    return log_offset, integral
+
+
+def _scipy_radial_cylinder_quotient(n, length):
+    log_offset, integral = _scipy_cylinder_root(n, length)
+    return (area_weight(n) * integral(log_offset, 2.0 * n / (n - 2))) ** (
+        2.0 / n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -393,6 +427,60 @@ def test_radial_cylinder_quotient_matches_scipy_arithmetic(n):
         assert radial_cylinder_quotient(n, length) == pytest.approx(
             _scipy_radial_cylinder_quotient(n, length), rel=1e-14,
             abs=0.0), length
+
+
+def _mpmath_radial_cylinder_quotient(mp, n, length):
+    """radial_cylinder_quotient at 30 digits: the same substitutions,
+    mpmath.quad (tanh-sinh) with the inner piece split 2 below z*, and
+    findroot's secant steps from the scipy root."""
+    with mp.workdps(30):
+        p = mp.mpf(2 * n) / (n - 2)
+        a = (mp.mpf(n - 2) / 2) ** 2
+        u_star = a ** (1 / (p - 2))
+        m_0 = (a * p / 2) ** (1 / (p - 2))
+
+        def integral(log_offset, k):
+            offset = mp.exp(log_offset)
+            m = m_0 + offset
+            c = a * m * m * mp.expm1((p - 2) * mp.log1p(offset / m_0))
+            scale, d = mp.sqrt(c / a), m - u_star
+
+            def inner(z):
+                u = scale * mp.sinh(z)
+                share = 2 / p * u ** p / (c + a * u * u)
+                return u ** k / mp.sqrt(a * (1 - share))
+
+            def outer(y):
+                gap = d * y * y
+                u = m - gap
+                slope = -m ** p * mp.expm1(p * mp.log1p(-gap / m)) / gap
+                return 2 * mp.sqrt(d) * u ** k / mp.sqrt(
+                    2 / p * slope - a * (m + u))
+
+            z_star = mp.asinh(u_star / scale)
+            return 2 * (mp.quad(inner, [0, max(z_star - 2, 0), z_star])
+                        + mp.quad(outer, [0, 1]))
+
+        start = mp.mpf(_scipy_cylinder_root(n, length)[0])
+        log_offset = mp.findroot(lambda x: integral(x, 0) - length,
+                                 (start, start + mp.mpf(1e-9)),
+                                 solver="secant", tol=1e-20, verify=False)
+        area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        return (area * integral(log_offset, p)) ** (mp.mpf(2) / n)
+
+
+@pytest.mark.parametrize("n, length", [
+    (3, 0.2723), (3, 17.7), (3, 40.0), (4, 0.2723), (4, 17.7), (4, 40.0),
+    (5, 0.2723), (5, 17.7), (5, 40.0), (3, 0.05), (8, 0.036), (10, 0.1)])
+def test_radial_cylinder_quotient_matches_mpmath(n, length):
+    # A 30-digit evaluation of the same first integral: the fixed Kronrod
+    # panels and the float64 root land within a few ulps of it.  At
+    # n = 8 and 10, where u^p branches at u = 0, equal outer panels and
+    # one bottom panel were 3.8e-14 and 9.8e-14 off.
+    mp = pytest.importorskip("mpmath")
+    expected = _mpmath_radial_cylinder_quotient(mp, n, length)
+    got = radial_cylinder_quotient(n, length)
+    assert abs(float((got - expected) / expected)) <= 4e-15
 
 
 _BRENT_CASES = [
