@@ -11,7 +11,10 @@ inputs are those of ``perfbench/inputs.py``, each taken once, in the
 order the inputs first name it.  Each ball is solved as
 ``run_exhaustion`` solves it; its line holds the config name, the radius
 ``j``, ``repr(Y_j)``, the multipliers ``lam_values``, the full
-concentration reason and the sha256 of the stored field's values.  The
+concentration reason and the sha256 of the stored field's values.  A
+subsolution line follows each ball line: ``repr`` of
+``subsolution_check``'s ``max_violation``, ``tol``, ``passed``,
+``s_checked`` and ``lam_checked`` on a one-ball trace.  The
 exterior lines follow, one per (config, ``r_in``): ``repr`` of the
 ``exterior_quotient`` value and of the ``scalar_lower_bound`` value, and
 the bound's ``divergent`` flag.  Last come the ``Q_rad`` lines, one per
@@ -31,7 +34,8 @@ import tempfile
 from pathlib import Path
 
 from yamabe_lab.config import load_config, profile_from_config
-from yamabe_lab.exhaustion import solve_ball
+from yamabe_lab.exhaustion import (ExhaustionTrace, f_at_radii, solve_ball,
+                                   subsolution_check)
 from yamabe_lab.functional import (exterior_quotient,
                                    radial_cylinder_quotient,
                                    scalar_lower_bound)
@@ -79,6 +83,16 @@ def digest_lines(seeds) -> list:
                         f"lam_values={list(rec.lam_values)!r} "
                         f"reason={rec.concentration_reason!r} "
                         f"field={sha.hexdigest()}")
+                    trace = ExhaustionTrace(
+                        profile_name=profile.name, n=profile.n,
+                        r_max=float(profile.r_max),
+                        f_radii=f_at_radii(profile, [j]), records=(rec,))
+                    sub = subsolution_check(trace, j, profile)
+                    lines.append(
+                        f"  subsolution max_violation={sub.max_violation!r} "
+                        f"tol={sub.tol!r} passed={sub.passed!r} "
+                        f"s_checked={sub.s_checked!r} "
+                        f"lam_checked={sub.lam_checked!r}")
         seen = set()
         for seed in seeds:
             out = Path(tmp) / f"exterior{seed}"

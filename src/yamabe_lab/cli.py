@@ -186,17 +186,13 @@ def cmd_exhaust(config: RunConfig, args) -> dict:
     out_dir = args.out or "."
     manifest = save_trace(trace, out_dir)
     largest = trace.largest
-    try:
-        sub = asdict(subsolution_check(trace, largest.j, profile))
-    except DomainError as exc:
-        sub = {"skipped": str(exc)}
     verdict = concentration_verdict(trace, R=config.pipeline.compact_radius)
     payload = {
         "trace_file": manifest.name,
         "radii": list(trace.radii),
         "y_table": _y_table(trace),
         "final_residual": largest.critical_residual,
-        "subsolution": sub,
+        "subsolution": asdict(subsolution_check(trace, largest.j, profile)),
         "boundary_bound": asdict(boundary_bound(trace)),
         "verdict": asdict(verdict),
     }

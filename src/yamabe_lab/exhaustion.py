@@ -32,7 +32,6 @@ from .records import ContinuationResult
 
 BOUNDARY_LAYER = 0.125  # thickness of U_j = {d(x, boundary) < 1/8}, fixed
 _PR_SET_PDEATHSIG = 1  # Linux prctl option: a signal for when the parent ends
-_EXTENSION_FACTOR = 2.0  # subsolution check extends u_j by zero to 2 j
 _SUBSOLUTION_TOL_REL = 1e-6  # of the largest nonlinear term
 _MIN_TAIL_POINTS = 10  # positive nodes a decay-fit window must hold
 _WINDOW_HI = 0.95  # decay-fit window ends at _WINDOW_HI * j
@@ -250,19 +249,23 @@ class SubsolutionReport:
     max_violation: float
     tol: float
     passed: bool
-    worst_radius: float
+    worst_radius: float | None  # the largest violation's node, if failed
     s_checked: float
     lam_checked: float
 
 
 def subsolution_check(trace: ExhaustionTrace, j: float,
                       profile: MetricProfile) -> SubsolutionReport:
-    """Weak-inequality check for u_j extended by zero to _EXTENSION_FACTOR j.
+    """Weak-inequality check for u_j extended by zero to all of M.
 
-    Tests against hat functions at every interior node of the extension
-    grid: violation_k = <grad u, grad hat_k> + c(n) <R u, hat_k>
-    - lam <u^{s-1}, hat_k> must stay below tol (nonpositive up to the
-    solver residual; the boundary kink contributes with the good sign).
+    Tests against the hat function of every node: violation_k =
+    <grad u, grad hat_k> + c(n) <R u, hat_k> - lam <u^{s-1}, hat_k> must
+    stay below tol (nonpositive up to the solver residual).  On the nodes
+    0 .. N-1 of the ball's grid that is the ball operator's weak residual.
+    The hat at j meets u only through the last cell's stiffness,
+    off_{N-1} u_{N-1}: the boundary kink, with the good sign.  Every hat
+    from j + h on meets only zeros and gives 0, so the ball's own grid
+    holds the whole check.
 
     The inequality is checked for the equation the stored field actually
     solves: the critical one (s = p, lam = Y_j) when the critical solve
@@ -273,8 +276,6 @@ def subsolution_check(trace: ExhaustionTrace, j: float,
     from .subcritical import DiscreteOperator
 
     rec = trace.record_for(j)
-    big_j = _EXTENSION_FACTOR * j
-    profile.check_radius(big_j)
     p = critical_exponent(profile.n)
     if rec.y_critical is not None:
         s_eq, lam_eq = p, rec.y_critical
@@ -284,21 +285,21 @@ def subsolution_check(trace: ExhaustionTrace, j: float,
         s_eq = rec.schedule[-1]
         norm_s = lp_norm(rec.field, s_eq, profile)
         lam_eq = rec.lam_values[-1] * norm_s ** (2.0 - s_eq)
-    h = rec.field.grid.h
-    big = RadialGrid(j=big_j, N=int(round(big_j / h)))
-    values = np.zeros(big.N + 1)
-    values[:rec.field.grid.N + 1] = rec.field.values
-    op = DiscreteOperator(profile, big)
-    u = values[:-1]
-    _, weak = op.residual(u, s_eq, lam_eq)
+    grid = rec.field.grid
+    op = DiscreteOperator(profile, grid)
+    u = rec.field.values[:-1]
+    _, residual = op.residual(u, s_eq, lam_eq)
+    weak = np.append(residual, (op.off[-1] * u[-1], 0.0))
     scale = max(1.0, float(np.max(np.abs(lam_eq) * op.weights()
                                   * np.abs(u) ** (s_eq - 1.0))))
     tol = _SUBSOLUTION_TOL_REL * scale
     k = int(np.argmax(weak))
-    return SubsolutionReport(max_violation=float(weak[k]), tol=tol,
-                             passed=bool(weak[k] <= tol),
-                             worst_radius=float(big.nodes[k]),
-                             s_checked=float(s_eq), lam_checked=float(lam_eq))
+    passed = bool(weak[k] <= tol)
+    # A failing k is at most N: the last entry, 0, cannot exceed tol.
+    return SubsolutionReport(
+        max_violation=float(weak[k]), tol=tol, passed=passed,
+        worst_radius=None if passed else float(grid.nodes[k]),
+        s_checked=float(s_eq), lam_checked=float(lam_eq))
 
 
 # -- Step-2 exponent bookkeeping ---------------------------------------------

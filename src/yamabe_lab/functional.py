@@ -420,7 +420,7 @@ def radial_cylinder_quotient(n: int, length: float) -> float:
 
 
 LENGTH_CAP = 40.0  # longest cylinder segment the exterior value is taken on
-_TOL_OUT = 1e-3  # relative tolerance of stabilization rules (b) and (c)
+_TOL_OUT = 1e-3  # relative tolerance of both stabilization rules
 
 
 def exterior_quotient(profile: MetricProfile, r_in: float) -> ExteriorEstimate:
@@ -440,12 +440,12 @@ def exterior_quotient(profile: MetricProfile, r_in: float) -> ExteriorEstimate:
     bound (Dirichlet fields on the truncated segment embed in the full
     one).
 
-    The estimate is stabilized when (a) the length reached
-    ``LENGTH_CAP``, (b) the value is within ``_TOL_OUT`` (relative) of
-    the exact limit, value <= Lambda(n) (1 + _TOL_OUT), or (c) the
-    length has converged in r: the outer half [(r_in + r_max)/2, r_max]
-    contributes at most _TOL_OUT L_total (finite int dr/f, as on
-    hyperbolic space).  Otherwise StabilizationError is raised.
+    The estimate is stabilized when (a) the value is within ``_TOL_OUT``
+    (relative) of the exact limit, value <= Lambda(n) (1 + _TOL_OUT),
+    which every length at the cap meets, or (b) the length has converged
+    in r: the outer half [(r_in + r_max)/2, r_max] contributes at most
+    _TOL_OUT L_total (finite int dr/f, as on hyperbolic space).
+    Otherwise StabilizationError is raised.
     """
     n, r_max = profile.n, profile.r_max
     total = cylinder_length(profile, r_in, r_max)
@@ -455,8 +455,7 @@ def exterior_quotient(profile: MetricProfile, r_in: float) -> ExteriorEstimate:
             f"r/f underflows on the whole exterior")
     value = radial_cylinder_quotient(n, min(total, LENGTH_CAP))
     stabilized = (
-        total >= LENGTH_CAP
-        or value <= lambda_constant(n) * (1.0 + _TOL_OUT)
+        value <= lambda_constant(n) * (1.0 + _TOL_OUT)
         or cylinder_length(profile, 0.5 * (r_in + r_max), r_max)
         <= _TOL_OUT * total)
     if not stabilized:

@@ -131,6 +131,7 @@ def test_exhaust_report_contents(exhaust_out):
     assert [row["j"] for row in body["y_table"]] == [1.0, 2.0, 4.0]
     assert body["verdict"]["kind"] == "concentrates"
     assert body["subsolution"]["passed"]
+    assert body["subsolution"]["worst_radius"] is None
     assert body["boundary_bound"]["passed"]
     assert (exhaust_out / "trace.json").exists()
     assert (exhaust_out / "field_j4.csv").exists()

@@ -303,43 +303,121 @@ def test_subsolution_extension_passes(flat_profile, flat_trace):
     rep = subsolution_check(flat_trace, 4.0, flat_profile)
     assert rep.passed
     assert rep.max_violation <= rep.tol
+    # A passing check names no radius: its largest violation is rounding.
+    assert rep.worst_radius is None
+
+
+def _doctored(trace, j):
+    """The trace with ball j's solved multiplier halved."""
+    rec = trace.record_for(j)
+    fake = dataclasses.replace(
+        rec, lam_values=rec.lam_values[:-1] + (rec.lam_values[-1] * 0.5,))
+    records = tuple(fake if r.j == j else r for r in trace.records)
+    return dataclasses.replace(trace, records=records)
 
 
 def test_subsolution_detects_fake_multiplier(flat_profile, flat_trace):
     # Lowering the solved multiplier makes u_j fail the weak inequality:
-    # the check must notice a corrupted record.
-    rec = flat_trace.record_for(4.0)
-    fake = dataclasses.replace(
-        rec, lam_values=rec.lam_values[:-1] + (rec.lam_values[-1] * 0.5,))
-    records = tuple(fake if r.j == 4.0 else r for r in flat_trace.records)
-    doctored = dataclasses.replace(flat_trace, records=records)
-    rep = subsolution_check(doctored, 4.0, flat_profile)
+    # the check must notice a corrupted record, and say where.
+    rep = subsolution_check(_doctored(flat_trace, 4.0), 4.0, flat_profile)
     assert not rep.passed
+    h = flat_trace.record_for(4.0).field.grid.h
+    assert 0.0 <= rep.worst_radius <= 4.0 + h
 
 
-def test_subsolution_respects_r_max(flat_trace):
-    small = manifold.euclidean(3, r_max=10.0)
-    with pytest.raises(DomainError):
-        subsolution_check(flat_trace, 8.0, small)  # extension needs 16
+def _doubled_grid_report(trace, j, profile):
+    """The check as made on the doubled grid [0, 2j]: u_j padded with
+    zeros to 2N cells, and the weak residual of that grid's operator at
+    every node but the outer one."""
+    rec = trace.record_for(j)
+    if rec.y_critical is not None:
+        s, lam = critical_exponent(profile.n), rec.y_critical
+    else:
+        s = rec.schedule[-1]
+        lam = rec.lam_values[-1] * lp_norm(rec.field, s, profile) ** (2.0 - s)
+    big = RadialGrid(j=2.0 * j, N=int(round(2.0 * j / rec.field.grid.h)))
+    values = np.zeros(big.N + 1)
+    values[:rec.field.grid.N + 1] = rec.field.values
+    op = subcritical.DiscreteOperator(profile, big)
+    u = values[:-1]
+    _, weak = op.residual(u, s, lam)
+    scale = max(1.0, float(np.max(abs(lam) * op.weights()
+                                  * np.abs(u) ** (s - 1.0))))
+    tol = exhaustion._SUBSOLUTION_TOL_REL * scale
+    k = int(np.argmax(weak))
+    passed = bool(weak[k] <= tol)
+    return exhaustion.SubsolutionReport(
+        max_violation=float(weak[k]), tol=tol, passed=passed,
+        worst_radius=None if passed else float(big.nodes[k]),
+        s_checked=float(s), lam_checked=float(lam))
+
+
+@pytest.fixture(scope="module")
+def largest_shipped_balls(configs_dir):
+    """(profile, one-ball trace) of each shipped config's largest ball."""
+    balls = {}
+    for name in ("flat3", "bump3", "cigar3", "hyperbolic3"):
+        cfg = load_config(configs_dir / f"{name}.json")
+        profile = profile_from_config(cfg)
+        j, sol = cfg.pipeline.radii[-1], cfg.solver
+        rec = exhaustion.solve_ball(
+            profile, j, cfg.grid.nodes_per_unit, s_start=sol.s_start,
+            count=sol.count, eps_s=sol.eps_s, tol=sol.tol,
+            max_iters=sol.max_iters)
+        balls[name] = (profile, ExhaustionTrace(
+            profile_name=profile.name, n=profile.n, r_max=profile.r_max,
+            f_radii=exhaustion.f_at_radii(profile, [j]), records=(rec,)))
+    return balls
+
+
+@pytest.mark.parametrize("case", ["flat3", "bump3", "cigar3", "hyperbolic3",
+                                  "doctored"])
+def test_subsolution_matches_doubled_grid(case, largest_shipped_balls,
+                                          flat_profile, flat_trace):
+    # Every hat past j + h meets only zeros, so the ball's own grid gives
+    # the doubled grid's report bit for bit (repr keeps signed zeros).
+    if case == "doctored":
+        profile, trace, j = flat_profile, _doctored(flat_trace, 4.0), 4.0
+    else:
+        profile, trace = largest_shipped_balls[case]
+        j = trace.largest.j
+    rep = subsolution_check(trace, j, profile)
+    assert repr(rep) == repr(_doubled_grid_report(trace, j, profile))
+    assert rep.passed == (case != "doctored")
+
+
+def test_subsolution_checks_balls_up_to_r_max(tmp_path, capsys):
+    # The extension by zero needs no room past the ball: on hyperbolic
+    # space cut at r_max = 12 the ball of radius 8 is checked, in process
+    # and in exhaust's report.
+    profile = manifold.hyperbolic(3, r_max=12.0)
+    config = tmp_path / "hyperbolic12.json"
+    config.write_text(json.dumps({
+        "profile": {"name": "hyperbolic", "n": 3, "r_max": 12.0},
+        "pipeline": {"radii": [2.0, 4.0, 8.0], "compact_radius": 1.0}}))
+    assert main(["exhaust", "--config", str(config), "--out",
+                 str(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]["subsolution"]
+    rep = subsolution_check(load_trace(tmp_path), 8.0, profile)
+    assert rep.passed and rep.max_violation <= rep.tol
+    assert report == dataclasses.asdict(rep)
 
 
 def test_radius_checks_take_the_profile_slack():
     # lp_norm and DiscreteOperator accept radii up to r_max (1 + 1e-12)
-    # through MetricProfile.check_radius; the exhaustion and the
-    # subsolution check's extension radius take the same rule and message.
+    # through MetricProfile.check_radius; the exhaustion takes the same
+    # rule and message, and the subsolution check of its largest ball
+    # needs no radius past it.
     prof = manifold.euclidean(3, 2.0)
     inside = 1.0 + 1e-13
     trace = run_exhaustion(prof, (0.5, inside, 2.0 * inside),
                            nodes_per_unit=32)
     assert trace.radii[-1] == 2.0 * inside
-    # The extension of u_j at j = 1 + 1e-13 reaches 2 (1 + 1e-13).
-    assert subsolution_check(trace, inside, prof).passed
+    assert subsolution_check(trace, trace.largest.j, prof).passed
     refused = r"radius outside \[0, 2.0\] for profile 'euclidean'"
     with pytest.raises(DomainError, match=refused):
         run_exhaustion(prof, (0.5, 1.0, 2.0 * (1.0 + 1e-11)),
                        nodes_per_unit=32)
-    with pytest.raises(DomainError, match=refused):
-        subsolution_check(trace, trace.largest.j, prof)
 
 
 # -- exponent formulas -------------------------------------------------------

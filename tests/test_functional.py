@@ -257,6 +257,14 @@ def test_exterior_quotient_depends_only_on_conformal_length():
     assert a.value == b.value
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_length_cap_meets_the_near_limit_rule(n):
+    # exterior_quotient has no length-cap rule: a segment truncated to
+    # LENGTH_CAP is stabilized because its value is near Lambda(n).
+    assert radial_cylinder_quotient(n, functional.LENGTH_CAP) \
+        <= lambda_constant(n) * (1.0 + functional._TOL_OUT)
+
+
 def test_hyperbolic_exterior_stabilizes_on_finite_length():
     # int_2^30 dr / sinh = 0.27 converges: the outer half of [2, 30] adds
     # nothing, so the estimate is stabilized although far above Lambda.
